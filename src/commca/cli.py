@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes are a stable contract: 0 success / predicate holds, 1 a checked
 predicate or property fails, 2 input or validation error, 3 enumeration size
-cap exceeded.  The environment variable COMMCA_CAP overrides the default
-enumeration cap; --force lifts it entirely.
+cap exceeded or out of memory.  The environment variable COMMCA_CAP overrides
+the default enumeration cap; --force lifts it entirely.
 """
 
 from __future__ import annotations
@@ -264,6 +264,9 @@ def main(argv=None) -> int:
         return 2
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,6 +146,22 @@ class TestCheckErrors:
         assert main(["check", path, "--rs", "0", "1"]) == 2
         assert "COMMCA_CAP" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_memory(masks, r):
+            raise MemoryError
+
+        monkeypatch.setattr("commca.robustness._subset_table", no_memory)
+        path = write_graph(tmp_path, Graph(9, [(i, i + 1) for i in range(8)]))
+        assert main(["check", path, "--rs", "0", "1", "--force"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert "512 subsets of 9 agents" in err
+
+    def test_subset_table_beyond_address_space(self, tmp_path, capsys):
+        path = write_graph(tmp_path, Graph(64, [(i, i + 1) for i in range(63)]))
+        assert main(["check", path, "--r", "1", "--force"]) == 3
+        assert "18446744073709551616 subsets of 64 agents" in capsys.readouterr().err
+
     def test_raised_cap_allows_larger_graphs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COMMCA_CAP", "16")
         path = write_graph(tmp_path, Graph(16, [(i, i + 1) for i in range(15)]))

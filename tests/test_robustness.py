@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commca import (
     CommunityCheck,
@@ -20,7 +22,7 @@ from commca import (
     reachable_set,
     verify_reachability_preservation,
 )
-from commca.robustness import _disjoint_pairs
+from commca.robustness import _subset_table
 
 from reference import (
     naive_excess,
@@ -28,9 +30,16 @@ from reference import (
     naive_is_rs_robust,
     naive_preservation_holds,
     naive_reachable,
-    nonempty_subsets,
     random_graph,
 )
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def path_graph(n):
@@ -127,30 +136,20 @@ class TestReachableSet:
             )
 
 
-class TestDisjointPairEnumeration:
-    @pytest.mark.parametrize("n,count", [(0, 0), (1, 0), (2, 1), (3, 6), (4, 25)])
-    def test_pair_counts(self, n, count):
-        assert sum(1 for _ in _disjoint_pairs(n)) == count
-        # half of 3^n - 2*2^n + 1 once ordered pairs collapse to unordered
-        assert count == (3**n - 2 * 2**n + 1) // 2
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_each_unordered_pair_exactly_once(self, n):
-        def ids(mask):
-            return frozenset(i for i in range(n) if mask >> i & 1)
-
-        seen = set()
-        for a, b in _disjoint_pairs(n):
-            assert a and b and not (a & b)
-            key = frozenset((ids(a), ids(b)))
-            assert key not in seen
-            seen.add(key)
-        expected = set()
-        for s1 in nonempty_subsets(range(n)):
-            for s2 in nonempty_subsets(range(n)):
-                if not (s1 & s2):
-                    expected.add(frozenset((s1, s2)))
-        assert seen == expected
+class TestSubsetTable:
+    def test_counts_and_fullness_match_naive(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(0, 8), rng.random())
+            r = rng.randint(0, 3)
+            counts, full = _subset_table(g.neighbor_masks(), r)
+            assert len(counts) == len(full) == 2**g.n
+            assert counts[0] == 0 and full[0]
+            for mask in range(1, 2**g.n):
+                subset = {u for u in range(g.n) if mask >> u & 1}
+                reach = naive_reachable(g, subset, r)
+                assert counts[mask] == len(reach), (g.n, sorted(g.edges), r, mask)
+                assert full[mask] == (reach == subset), (g.n, sorted(g.edges), r, mask)
 
 
 class TestPairRobustness:
@@ -251,6 +250,35 @@ class TestPairRobustness:
                 == is_rs_excess_robust(g, r, 1).robust
                 == naive_is_r_robust(g, r)
             )
+
+    @pytest.mark.parametrize("lone", range(5))
+    def test_partner_found_past_any_agent(self, lone):
+        # Two separate edges and an isolated agent.  At r = 0 the isolated
+        # agent is always reachable, so the only violating pair is the two
+        # edges, and each edge's complement holds its partner only once the
+        # isolated agent is left out.
+        others = [u for u in range(5) if u != lone]
+        g = Graph(5, [(others[0], others[1]), (others[2], others[3])])
+        w = is_r_excess_robust(g, 0)
+        assert not w.robust and not naive_is_r_robust(g, 0)
+        assert set(w.pair) == {frozenset(others[:2]), frozenset(others[2:])}
+
+    @settings(deadline=None)
+    @given(graphs(7), st.integers(0, 3), st.integers(1, 4))
+    def test_property_matches_naive_oracle(self, g, r, s):
+        w = is_rs_excess_robust(g, r, s)
+        assert w.robust == naive_is_rs_robust(g, r, s)
+
+    @settings(deadline=None)
+    @given(graphs(12), st.integers(0, 3), st.integers(1, 4))
+    def test_property_witness_rechecks(self, g, r, s):
+        w = is_rs_excess_robust(g, r, s)
+        if w.robust:
+            assert w.pair is None and w.reports is None
+            return
+        ev = evaluate_pair(g, *w.pair, r, s)
+        assert not ev.satisfied
+        assert (ev.first, ev.second) == w.reports
 
     def test_robustness_monotone_in_parameters(self):
         rng = random.Random(23)

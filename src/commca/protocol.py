@@ -9,15 +9,17 @@ Malicious agents follow no update rule: a strategy decides what they present,
 and their stored trace value tracks what they present.  Rounds are
 synchronous: every round-t+1 value is computed from round-t values only.
 
-run() is a vectorized engine; step() is the plain reference it must agree
-with exactly, which the test suite checks bitwise.
+Every strategy presents overrides.get((v, u), displayed(v, t)) with a fixed
+overrides map, so run() is one vectorized engine for all of them; step() is
+the plain reference it must agree with exactly, which the tests check bitwise.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,20 +47,31 @@ def median(values: Iterable[float]) -> float:
     return (vals[mid - 1] + vals[mid]) / 2.0
 
 
+def _require_finite(what: str, values: Iterable[float]) -> None:
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{what} must be finite, got {bad[0]!r}")
+
+
 class AdversaryStrategy(ABC):
-    """Decides the values malicious agents present to their neighbors."""
+    """Decides the values malicious agents present to their neighbors.
 
-    # True when an agent may present different values to different neighbors;
-    # such strategies force the engine onto its per-edge path.
-    per_neighbor: ClassVar[bool] = False
+    An agent presents displayed(agent, t) to every neighbor, except that the
+    fixed overrides map may name what it presents to one neighbor at all t.
+    """
 
-    @abstractmethod
+    @property
+    def overrides(self) -> Mapping[tuple[int, int], float]:
+        """(agent, neighbor) -> value presented instead of displayed()."""
+        return {}
+
     def present(self, agent: int, neighbor: int, t: int) -> float:
         """Value `agent` presents to `neighbor` at round t."""
+        return self.overrides.get((agent, neighbor), self.displayed(agent, t))
 
     @abstractmethod
     def displayed(self, agent: int, t: int) -> float:
-        """Value recorded in the trace for `agent` at round t >= 1."""
+        """Value of `agent` at round t, recorded in the trace for t >= 1."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +80,8 @@ class ConstantValue(AdversaryStrategy):
 
     value: float
 
-    def present(self, agent: int, neighbor: int, t: int) -> float:
-        return self.value
+    def __post_init__(self):
+        _require_finite("constant value", [self.value])
 
     def displayed(self, agent: int, t: int) -> float:
         return self.value
@@ -83,15 +96,10 @@ class RoundScript(AdversaryStrategy):
     def __post_init__(self):
         if not self.values:
             raise ValueError("script needs at least one value")
-
-    def _at(self, t: int) -> float:
-        return self.values[min(t, len(self.values) - 1)]
-
-    def present(self, agent: int, neighbor: int, t: int) -> float:
-        return self._at(t)
+        _require_finite("script values", self.values)
 
     def displayed(self, agent: int, t: int) -> float:
-        return self._at(t)
+        return self.values[min(t, len(self.values) - 1)]
 
 
 @dataclass(frozen=True, eq=True)
@@ -105,10 +113,12 @@ class PerNeighborTable(AdversaryStrategy):
     entries: Mapping[tuple[int, int], float]
     default: float
 
-    per_neighbor: ClassVar[bool] = True
+    def __post_init__(self):
+        _require_finite("table values", [self.default, *self.entries.values()])
 
-    def present(self, agent: int, neighbor: int, t: int) -> float:
-        return self.entries.get((agent, neighbor), self.default)
+    @property
+    def overrides(self) -> Mapping[tuple[int, int], float]:
+        return self.entries
 
     def displayed(self, agent: int, t: int) -> float:
         return self.default
@@ -166,6 +176,11 @@ class SimulationConfig:
                 problems.append(f"legitimate agents with no neighbors: {isolated}")
         if self.layout.malicious and self.adversary is None:
             problems.append("malicious agents present but no adversary strategy given")
+        elif self.adversary is not None:
+            stray = sorted(k for k in self.adversary.overrides if k[0] not in self.layout.malicious
+                           or (min(k), max(k)) not in self.graph.edges)
+            if stray:
+                problems.append(f"table entries not on an edge from a malicious agent: {stray}")
         if self.initializer is None:
             problems.append("no initializer given")
         return problems
@@ -255,32 +270,33 @@ class Trace:
         row = self.values[0, members]
         return float(row.min()), float(row.max())
 
-    def to_csv_text(self) -> str:
+    def _csv_chunks(self) -> Iterator[str]:
+        # a repr per distinct bit pattern (-0.0 and 0.0 differ), a format per round
         layout = self.config.layout
-        community = [layout.community_of(u) + 1 for u in range(self.values.shape[1])]
-        role = [
-            "malicious" if layout.is_malicious(u) else "legitimate"
+        template = "".join(
+            f"{{0}},{u},{layout.community_of(u) + 1},"
+            f"{'malicious' if layout.is_malicious(u) else 'legitimate'},{{{u + 1}}}\n"
             for u in range(self.values.shape[1])
-        ]
-        lines = ["round,agent,community,role,value"]
-        for t in range(self.values.shape[0]):
-            row = self.values[t]
-            lines.extend(
-                f"{t},{u},{community[u]},{role[u]},{float(row[u])!r}"
-                for u in range(self.values.shape[1])
-            )
-        return "\n".join(lines) + "\n"
+        )
+        bits, inverse = np.unique(self.values.view(np.uint64), return_inverse=True)
+        reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        yield "round,agent,community,role,value\n"
+        for t, row in enumerate(inverse.reshape(self.values.shape)):
+            yield template.format(t, *reprs[row])
+
+    def to_csv_text(self) -> str:
+        return "".join(self._csv_chunks())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
+            fh.writelines(self._csv_chunks())
 
 
 def run(config: SimulationConfig) -> Trace:
     """Run the full simulation and collect the trace.
 
     Equivalent to iterating step() from the initial values; vectorized over
-    agents grouped by degree so large dense graphs stay fast.  Medians of
+    agents grouped by degree, for every adversary strategy.  Medians of
     legitimate members are checked against each community's initial
     legitimate interval every round (isolation bookkeeping).
     """
@@ -301,7 +317,11 @@ def run(config: SimulationConfig) -> Trace:
     malicious_ids = sorted(layout.malicious)
     legit_ids = sorted(layout.legitimate)
     legit_arr = np.array(legit_ids, dtype=np.intp)
-    per_edge = adversary is not None and adversary.per_neighbor
+    # p[:n] is what each agent presents by default; each fixed override gets
+    # a slot of its own after those, which the gather indices point at
+    overrides = adversary.overrides if adversary is not None else {}
+    slot = {key: n + k for k, key in enumerate(overrides)}
+    p = np.array([0.0] * n + list(overrides.values()), dtype=np.float64)
 
     by_degree: dict[int, list[int]] = {}
     for u in legit_ids:
@@ -309,8 +329,9 @@ def run(config: SimulationConfig) -> Trace:
     groups = []
     for d, agents in sorted(by_degree.items()):
         ids_arr = np.array(agents, dtype=np.intp)
-        idx = np.array([g.neighbors(u) for u in agents], dtype=np.intp)
-        groups.append((ids_arr, idx))
+        idx = [[slot.get((v, u), v) for v in g.neighbors(u)] for u in agents]
+        # the median is the mean of sorted columns lo and hi (equal when d is odd)
+        groups.append((ids_arr, np.array(idx, dtype=np.intp), (d - 1) // 2, d // 2))
 
     c = len(layout)
     comm_legit = [
@@ -322,58 +343,37 @@ def run(config: SimulationConfig) -> Trace:
             intervals.append((float(x0[arr].min()), float(x0[arr].max())))
         else:
             intervals.append(None)
+    watched = [(i, arr, *intervals[i]) for i, arr in enumerate(comm_legit) if arr.size]
     iso_count = [0] * c
     iso_first: list[tuple[int, int, float] | None] = [None] * c
 
     rows = np.empty((T + 1, n), dtype=np.float64)
     rows[0] = x0
-    x = x0.copy()
     medians = np.full(n, np.nan)
 
     for t in range(T):
-        if per_edge:
-            for u in legit_ids:
-                presented = [
-                    x[v] if v not in layout.malicious else adversary.present(v, u, t)
-                    for v in g.neighbors(u)
-                ]
-                medians[u] = median(presented)
-        else:
-            p = x.copy()
-            for m in malicious_ids:
-                p[m] = adversary.displayed(m, t)
-            for ids_arr, idx in groups:
-                block = np.sort(p[idx], axis=1)
-                d = idx.shape[1]
-                mid = d // 2
-                if d % 2:
-                    medians[ids_arr] = block[:, mid]
-                else:
-                    medians[ids_arr] = (block[:, mid - 1] + block[:, mid]) / 2.0
+        x, nxt = rows[t], rows[t + 1]
+        p[:n] = x
+        for m in malicious_ids:
+            p[m] = adversary.displayed(m, t)
+        for ids_arr, idx, lo, hi in groups:
+            block = np.sort(p[idx], axis=1)
+            medians[ids_arr] = block[:, hi] if lo == hi else (block[:, lo] + block[:, hi]) / 2.0
 
-        for i in range(c):
-            arr = comm_legit[i]
-            if arr.size == 0:
-                continue
-            lo, hi = intervals[i]
+        for i, arr, low, high in watched:
             m_i = medians[arr]
-            bad = (m_i < lo) | (m_i > hi)
+            bad = (m_i < low) | (m_i > high)
             if bad.any():
                 iso_count[i] += int(bad.sum())
                 if iso_first[i] is None:
                     j = int(np.argmax(bad))
                     iso_first[i] = (t, int(arr[j]), float(m_i[j]))
 
-        nxt = x.copy()
-        if legit_arr.size:
-            nxt[legit_arr] = alpha * x[legit_arr] + (1.0 - alpha) * medians[legit_arr]
+        # legitimate and malicious agents together are all agents (validated)
+        nxt[legit_arr] = alpha * x[legit_arr] + (1.0 - alpha) * medians[legit_arr]
         for m in malicious_ids:
             nxt[m] = adversary.displayed(m, t + 1)
-        rows[t + 1] = nxt
-        x = nxt
 
     rows.setflags(write=False)
-    reports = tuple(
-        IsolationReport(i, iso_count[i], iso_first[i]) for i in range(c)
-    )
+    reports = tuple(IsolationReport(i, iso_count[i], iso_first[i]) for i in range(c))
     return Trace(rows, config, tuple(intervals), reports)

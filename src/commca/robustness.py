@@ -16,14 +16,17 @@ over the non-full subsets (Bjorklund, Husfeldt, Kaski, Koivisto, STOC 2007),
 and test each S1 against the best partner inside its complement.  That takes
 O(n * 2^n) time and a few 2^n-entry arrays of memory: on one core of an Intel
 Xeon, a G(n, 0.85) graph takes 0.03 s and 8 MiB of arrays at n = 20, and
-0.2 s and 48 MiB at n = 22.  Checks are capped by default at n = 15 agents
-(cap=None here, COMMCA_CAP or --force on the command line, change it) except
-for complete graphs, where a closed form decides the predicate at any size.
+0.2 s and 48 MiB at n = 22.  A graph whose tables would exceed physical
+memory is refused with MemoryError before any is allocated.  Checks are
+capped by default at n = 15 agents (cap=None here, COMMCA_CAP or --force on
+the command line, change it) except for complete graphs, where a closed form
+decides the predicate at any size.
 Negative verdicts carry a machine-checkable witness pair.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -199,10 +202,20 @@ def evaluate_pair(
     return PairEvaluation(reachable_set(g, a, r), reachable_set(g, b, r), s)
 
 
+def _physical_memory() -> int:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # unknown: the 64-bit address space
+        return 1 << 64
+
+
 def _all_subsets(n: int) -> np.ndarray:
-    if n >= 63:
-        raise MemoryError  # 2^n entries exceed the address space
-    return np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    dtype = np.min_scalar_type((1 << n) - 1)
+    # The indices, a temporary as wide, and about six one-byte tables are alive
+    # at once; refuse before allocating any of them when RAM cannot hold them.
+    if (1 << n) * (2 * dtype.itemsize + 6) > _physical_memory():
+        raise MemoryError
+    return np.arange(1 << n, dtype=dtype)
 
 
 def _subset_table(masks: tuple[int, ...], r: int) -> tuple[np.ndarray, np.ndarray]:

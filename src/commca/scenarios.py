@@ -384,6 +384,8 @@ def _parse_init_section(
             if len(tokens) != 2 or tokens[0] != "constant":
                 raise FormatError(f"line {lineno}: expected 'malicious: constant <v>'")
             malicious_value = _parse_float(lineno, tokens[1])
+            if not math.isfinite(malicious_value):
+                raise FormatError(f"line {lineno}: malicious constant must be finite")
             continue
         parts = head.split()
         if len(parts) != 2 or parts[0] != "community":
@@ -428,6 +430,13 @@ def _parse_protocol_section(lines: list[tuple[int, str]]) -> tuple[float, int, i
     return seen["alpha"], int(seen["rounds"]), int(seen["seed"])
 
 
+def _strategy(lineno: int, make, *args) -> AdversaryStrategy:
+    try:
+        return make(*args)
+    except ValueError as exc:  # the strategy rejected a value, e.g. nan
+        raise FormatError(f"line {lineno}: {exc}") from None
+
+
 def _parse_adversary_section(lines: list[tuple[int, str]]) -> AdversaryStrategy:
     if not lines:
         raise FormatError("adversary section is empty")
@@ -437,11 +446,12 @@ def _parse_adversary_section(lines: list[tuple[int, str]]) -> AdversaryStrategy:
     if kind == "constant":
         if len(tokens) != 2 or len(lines) > 1:
             raise FormatError(f"line {lineno}: expected a single 'constant <v>' line")
-        return ConstantValue(_parse_float(lineno, tokens[1]))
+        return _strategy(lineno, ConstantValue, _parse_float(lineno, tokens[1]))
     if kind == "script":
         if len(tokens) < 2 or len(lines) > 1:
             raise FormatError(f"line {lineno}: expected a single 'script <v...>' line")
-        return RoundScript(tuple(_parse_float(lineno, tok) for tok in tokens[1:]))
+        values = tuple(_parse_float(lineno, tok) for tok in tokens[1:])
+        return _strategy(lineno, RoundScript, values)
     if kind == "table":
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'table <default>'")
@@ -453,10 +463,9 @@ def _parse_adversary_section(lines: list[tuple[int, str]]) -> AdversaryStrategy:
                 raise FormatError(
                     f"line {entry_lineno}: expected '<agent> <neighbor> <value>'"
                 )
-            key = (int(_parse_float(entry_lineno, parts[0])),
-                   int(_parse_float(entry_lineno, parts[1])))
-            entries[key] = _parse_float(entry_lineno, parts[2])
-        return PerNeighborTable(entries, default)
+            agent, neighbor = _parse_ids(entry_lineno, parts[:2])
+            entries[agent, neighbor] = _parse_float(entry_lineno, parts[2])
+        return _strategy(lineno, PerNeighborTable, entries, default)
     raise FormatError(f"line {lineno}: unknown adversary kind {kind!r}")
 
 

@@ -125,3 +125,21 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
             if rng.random() < p:
                 edges.add((u, v))
     return Graph(n, sorted(edges))
+
+
+def reference_csv_text(trace) -> str:
+    """Trace CSV built one f-string per cell; Trace.to_csv_text must match it."""
+    layout = trace.config.layout
+    community = [layout.community_of(u) + 1 for u in range(trace.values.shape[1])]
+    role = [
+        "malicious" if layout.is_malicious(u) else "legitimate"
+        for u in range(trace.values.shape[1])
+    ]
+    lines = ["round,agent,community,role,value"]
+    for t in range(trace.values.shape[0]):
+        row = trace.values[t]
+        lines.extend(
+            f"{t},{u},{community[u]},{role[u]},{float(row[u])!r}"
+            for u in range(trace.values.shape[1])
+        )
+    return "\n".join(lines) + "\n"

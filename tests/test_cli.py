@@ -157,6 +157,18 @@ class TestCheckErrors:
         assert err.startswith("error: out of memory")
         assert "512 subsets of 9 agents" in err
 
+    def test_tables_beyond_physical_memory_refused_up_front(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 9 agents need 512 * (2 * 2 + 6) bytes by the estimate, 8 agents 2048
+        monkeypatch.setattr("commca.robustness._physical_memory", lambda: 4096)
+        path = write_graph(tmp_path, Graph(9, [(i, i + 1) for i in range(8)]))
+        assert main(["check", path, "--rs", "0", "1", "--force"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: cannot tabulate all 512 subsets of 9 agents\n"
+        path = write_graph(tmp_path, Graph(8, [(i, i + 1) for i in range(7)]))
+        assert main(["check", path, "--rs", "0", "1", "--force"]) == 0
+
     def test_subset_table_beyond_address_space(self, tmp_path, capsys):
         path = write_graph(tmp_path, Graph(64, [(i, i + 1) for i in range(63)]))
         assert main(["check", path, "--r", "1", "--force"]) == 3
@@ -202,6 +214,19 @@ class TestRun:
         rc = main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")])
         assert rc == 0
         assert "agreement=yes" in capsys.readouterr().out
+
+    def test_non_finite_script_value_exit_code(self, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(INTRUDER_DOC + "adversary\nscript 60.0 nan\n")
+        assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
+        assert "error: line 24: script values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_stray_table_entry_exit_code(self, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(INTRUDER_DOC + "adversary\ntable 60.0\n4 0 90.0\n1 0 90.0\n")
+        assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
+        assert "[(1, 0)]" in capsys.readouterr().err
 
     def test_invalid_rounds_override(self, capsys, tmp_path):
         rc = main(

@@ -3,7 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commca import (
@@ -16,13 +16,15 @@ from commca import (
     RoundScript,
     SimulationConfig,
     StateVector,
+    Trace,
     complete_graph,
+    example1,
     median,
     run,
     step,
 )
 
-from reference import random_connected_graph, reversed_order_step
+from reference import random_connected_graph, reference_csv_text, reversed_order_step
 
 
 def star_config(alpha=0.9):
@@ -220,6 +222,30 @@ class TestRunMatchesStep:
             state = step(state, g, layout, cfg.alpha, adv)
             assert np.array_equal(trace.values[t + 1], np.array(state.values))
 
+    def test_bitwise_equality_at_example_one_scale_with_table(self):
+        # a seeded +-100 table on every malicious -> legitimate edge, over the
+        # 158 agents and every degree group of example 1
+        cfg = example1(seed=5, rounds=30)
+        rng = random.Random(5)
+        malicious = cfg.layout.malicious
+        entries = {
+            (m, v): rng.choice((-100.0, 100.0))
+            for m in sorted(malicious)
+            for v in cfg.graph.neighbors(m)
+            if v not in malicious
+        }
+        adv = PerNeighborTable(entries, 60.0)
+        cfg = SimulationConfig(
+            cfg.graph, cfg.layout, cfg.initializer, adv, cfg.alpha, cfg.rounds, cfg.seed
+        )
+        trace = run(cfg)
+        state = StateVector(tuple(trace.values[0]))
+        for t in range(cfg.rounds):
+            state = step(state, cfg.graph, cfg.layout, cfg.alpha, adv)
+            assert np.array_equal(trace.values[t + 1], np.array(state.values)), (
+                f"round {t + 1} diverged"
+            )
+
 
 class TestRun:
     def test_row_count_and_initial_row(self):
@@ -304,6 +330,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(cfg)
 
+    def test_table_entry_of_legitimate_agent_rejected(self):
+        g = complete_graph(3)
+        layout = CommunityLayout([range(3)], malicious={2})
+        adv = PerNeighborTable({(2, 0): 5.0, (1, 0): 5.0}, 0.0)
+        cfg = SimulationConfig(g, layout, PresetValues((0.0,) * 3), adv, 0.5, 3, 0)
+        with pytest.raises(ConfigError, match=r"\[\(1, 0\)\]"):
+            run(cfg)
+
+    def test_table_entry_off_the_graph_edges_rejected(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        layout = CommunityLayout([range(4)], malicious={3})
+        adv = PerNeighborTable({(3, 2): 5.0, (3, 0): 5.0, (3, 9): 1.0}, 0.0)
+        cfg = SimulationConfig(g, layout, PresetValues((0.0,) * 4), adv, 0.5, 3, 0)
+        with pytest.raises(ConfigError, match=r"\[\(3, 0\), \(3, 9\)\]"):
+            run(cfg)
+
     def test_non_finite_initial_values_rejected(self):
         g = complete_graph(3)
         layout = CommunityLayout([range(3)])
@@ -372,11 +414,110 @@ class TestStrategies:
     def test_constant_strategy(self):
         c = ConstantValue(60.0)
         assert c.present(0, 1, 5) == 60.0 == c.displayed(0, 5)
-        assert not ConstantValue.per_neighbor
+        assert c.overrides == {}
 
     def test_table_falls_back_to_default(self):
         adv = PerNeighborTable({(2, 0): 1.0}, -9.0)
         assert adv.present(2, 0, 0) == 1.0
         assert adv.present(2, 1, 0) == -9.0
         assert adv.displayed(2, 0) == -9.0
-        assert PerNeighborTable.per_neighbor
+        assert adv.overrides == {(2, 0): 1.0}
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: ConstantValue(bad),
+            lambda bad: RoundScript((60.0, bad)),
+            lambda bad: PerNeighborTable({}, bad),
+            lambda bad: PerNeighborTable({(2, 0): 1.0, (2, 1): bad}, 0.0),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            make(bad)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+pairs = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@st.composite
+def adversaries(draw):
+    kind = draw(st.sampled_from(["constant", "script", "table"]))
+    if kind == "constant":
+        value = draw(finite)
+        return ConstantValue(value), lambda v, u, t: value
+    if kind == "script":
+        values = tuple(draw(st.lists(finite, min_size=1, max_size=5)))
+        return RoundScript(values), lambda v, u, t: values[min(t, len(values) - 1)]
+    entries = draw(st.dictionaries(pairs, finite, max_size=10))
+    default = draw(finite)
+    return PerNeighborTable(entries, default), lambda v, u, t: entries.get((v, u), default)
+
+
+class TestPresentLaw:
+    """present(v, u, t) == overrides.get((v, u), displayed(v, t)), the law
+    run() relies on, and equals each strategy's own definition."""
+
+    @given(adversaries(), pairs, st.integers(0, 20))
+    def test_present_is_override_or_displayed(self, made, pair, t):
+        adv, expected = made
+        v, u = pair
+        assert adv.present(v, u, t) == adv.overrides.get((v, u), adv.displayed(v, t))
+        assert adv.present(v, u, t) == expected(v, u, t)
+
+
+SPECIALS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+    1.7976931348623157e308, -1.7976931348623157e308, float("inf"), float("-inf"),
+    0.1, 1 / 3, 60.0,
+]
+
+
+@st.composite
+def traces(draw):
+    n = draw(st.integers(1, 9))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    subsets = [[u for u in range(n) if labels[u] == k] for k in sorted(set(labels))]
+    malicious = [u for u in range(n) if draw(st.booleans())]
+    # every grid holds all the special values (signed zeros, subnormals,
+    # infinities, extreme magnitudes), some arbitrary floats, and repeats
+    pool = SPECIALS + draw(st.lists(st.floats(width=64), max_size=4))
+    cells = draw(st.permutations(pool + draw(st.lists(st.sampled_from(pool), max_size=30))))
+    rows = -(-len(cells) // n)
+    pad = rows * n - len(cells)
+    cells += draw(st.lists(st.sampled_from(pool), min_size=pad, max_size=pad))
+    values = np.array(cells, dtype=np.float64).reshape(rows, n)
+    cfg = SimulationConfig(
+        Graph(n), CommunityLayout(subsets, malicious), PresetValues((0.0,) * n), None, 0.5, 1, 0
+    )
+    return Trace(values, cfg, (), ())
+
+
+class TestTraceCsv:
+    @settings(max_examples=300)
+    @given(traces())
+    def test_text_matches_reference_writer(self, trace):
+        assert trace.to_csv_text() == reference_csv_text(trace)
+
+    def test_signed_zeros_keep_their_signs(self):
+        cfg = SimulationConfig(
+            Graph(2), CommunityLayout([range(2)]), PresetValues((0.0, 0.0)), None, 0.5, 1, 0
+        )
+        trace = Trace(np.array([[0.0, -0.0], [-0.0, 0.0]]), cfg, (), ())
+        assert trace.to_csv_text().splitlines()[1:] == [
+            "0,0,1,legitimate,0.0",
+            "0,1,1,legitimate,-0.0",
+            "1,0,1,legitimate,-0.0",
+            "1,1,1,legitimate,0.0",
+        ]
+
+    def test_run_trace_matches_reference_and_file(self, tmp_path):
+        rng = random.Random(9)
+        for _ in range(5):
+            trace = run(random_config(rng, rounds=20))
+            text = trace.to_csv_text()
+            assert text == reference_csv_text(trace)
+            trace.write_csv(tmp_path / "trace.csv")
+            assert (tmp_path / "trace.csv").read_bytes() == text.encode()

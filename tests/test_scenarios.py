@@ -41,6 +41,11 @@ rounds 10
 seed 3
 """
 
+# BASE_DOC with agent 3 malicious, holding 60.0
+MALICIOUS_DOC = BASE_DOC.replace("init\n", "malicious\n3\ninit\n").replace(
+    "community 2: normal 5.0 1.0", "community 2: normal 5.0 1.0\nmalicious: constant 60.0"
+)
+
 
 class TestExampleOne:
     def test_structure(self):
@@ -290,11 +295,7 @@ class TestDocumentParsing:
         assert run(cfg).rounds == 10
 
     def test_default_adversary_is_the_malicious_constant(self):
-        doc = BASE_DOC.replace("init\n", "malicious\n3\ninit\n").replace(
-            "community 2: normal 5.0 1.0",
-            "community 2: normal 5.0 1.0\nmalicious: constant 60.0",
-        )
-        cfg = load_scenario(doc)
+        cfg = load_scenario(MALICIOUS_DOC)
         assert cfg.adversary == ConstantValue(60.0)
         assert cfg.layout.malicious == frozenset({3})
 
@@ -388,6 +389,39 @@ class TestDocumentParsing:
     def test_unknown_adversary_kind_rejected(self):
         with pytest.raises(FormatError, match="unknown adversary kind"):
             load_scenario(BASE_DOC + "adversary\nmimic 1.0\n")
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "constant nan",
+            "script 60.0 nan",
+            "script inf",
+            "table -inf",
+            "table 1.0\n3 2 nan",
+        ],
+    )
+    def test_non_finite_adversary_values_rejected(self, section):
+        doc = MALICIOUS_DOC + "adversary\n" + section + "\n"
+        header = doc.splitlines().index(section.splitlines()[0]) + 1
+        with pytest.raises(FormatError, match=rf"^line {header}: .* must be finite"):
+            load_scenario(doc)
+
+    def test_non_finite_malicious_constant_rejected(self):
+        doc = MALICIOUS_DOC.replace("constant 60.0", "constant inf")
+        with pytest.raises(FormatError, match="malicious constant must be finite"):
+            load_scenario(doc)
+
+    def test_table_entries_must_sit_on_malicious_agents_edges(self):
+        # agent 2 is legitimate; 3 and 0 are not neighbours
+        doc = MALICIOUS_DOC + "adversary\ntable 60.0\n3 2 1.0\n2 1 5.0\n3 0 5.0\n"
+        with pytest.raises(ConfigError, match=r"\[\(2, 1\), \(3, 0\)\]"):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize("ids", ["inf 2", "3 nan", "3.0 2", "3 x"])
+    def test_table_ids_must_be_integers(self, ids):
+        doc = MALICIOUS_DOC + f"adversary\ntable 60.0\n{ids} 1.0\n"
+        with pytest.raises(FormatError, match="bad id list"):
+            load_scenario(doc)
 
     def test_comments_and_blank_lines_ignored(self):
         doc = "# top\n\n" + BASE_DOC.replace(

@@ -134,11 +134,6 @@ class InducedSubgraph(NamedTuple):
     def original_id(self, new_id: int) -> int:
         return self.nodes[new_id]
 
-    def new_id(self, original: int) -> int:
-        # nodes is sorted ascending, so a binary search would do; linear is
-        # fine at the sizes these subgraphs reach.
-        return self.nodes.index(original)
-
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on n >= 1 agents."""

@@ -329,6 +329,13 @@ def _parse_ids(lineno: int, tokens: list[str]) -> list[int]:
         raise FormatError(f"line {lineno}: bad id list {' '.join(tokens)!r}") from None
 
 
+def _parse_int(lineno: int, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"line {lineno}: bad integer {token!r}") from None
+
+
 def _parse_float(lineno: int, token: str) -> float:
     try:
         return float(token)
@@ -346,8 +353,8 @@ def _parse_communities_section(
             tokens = line.split()
             if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: expected 'external <i> <bound>'")
-            idx = int(_parse_float(lineno, tokens[1]))
-            bounds[idx] = int(_parse_float(lineno, tokens[2]))
+            idx = _parse_int(lineno, tokens[1])
+            bounds[idx] = _parse_int(lineno, tokens[2])
             continue
         head, sep, rest = line.partition(":")
         tokens = head.split()
@@ -416,18 +423,19 @@ def _parse_init_section(
 
 
 def _parse_protocol_section(lines: list[tuple[int, str]]) -> tuple[float, int, int]:
-    seen: dict[str, float] = {}
+    seen: dict[str, float | int] = {}
     for lineno, line in lines:
         tokens = line.split()
         if len(tokens) != 2 or tokens[0] not in ("alpha", "rounds", "seed"):
             raise FormatError(f"line {lineno}: unrecognized protocol line {line!r}")
         if tokens[0] in seen:
             raise FormatError(f"line {lineno}: repeated protocol key {tokens[0]!r}")
-        seen[tokens[0]] = _parse_float(lineno, tokens[1])
+        parse = _parse_float if tokens[0] == "alpha" else _parse_int
+        seen[tokens[0]] = parse(lineno, tokens[1])
     missing = [k for k in ("alpha", "rounds", "seed") if k not in seen]
     if missing:
         raise FormatError(f"protocol section missing {missing}")
-    return seen["alpha"], int(seen["rounds"]), int(seen["seed"])
+    return seen["alpha"], seen["rounds"], seen["seed"]
 
 
 def _strategy(lineno: int, make, *args) -> AdversaryStrategy:

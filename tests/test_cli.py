@@ -174,6 +174,14 @@ class TestCheckErrors:
         assert main(["check", path, "--r", "1", "--force"]) == 3
         assert "18446744073709551616 subsets of 64 agents" in capsys.readouterr().err
 
+    def test_default_cap_is_22_agents(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("COMMCA_CAP", raising=False)
+        path = write_graph(tmp_path, Graph(22, [(i, i + 1) for i in range(21)]))
+        assert main(["check", path, "--r", "0"]) in (0, 1)
+        path = write_graph(tmp_path, Graph(23, [(i, i + 1) for i in range(22)]))
+        assert main(["check", path, "--r", "0"]) == 3
+        assert "over 23 agents exceeds the cap of 22" in capsys.readouterr().err
+
     def test_raised_cap_allows_larger_graphs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COMMCA_CAP", "16")
         path = write_graph(tmp_path, Graph(16, [(i, i + 1) for i in range(15)]))
@@ -227,6 +235,22 @@ class TestRun:
         doc.write_text(INTRUDER_DOC + "adversary\ntable 60.0\n4 0 90.0\n1 0 90.0\n")
         assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
         assert "[(1, 0)]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("rounds 10", "rounds 2.9"),
+            ("rounds 10", "rounds inf"),
+            ("rounds 10", "rounds 1e12"),
+            ("seed 0", "seed inf"),
+            ("community 2: 4\n", "community 2: 4\nexternal 1 inf\n"),
+        ],
+    )
+    def test_non_integer_scenario_token_exit_code(self, tmp_path, capsys, old, new):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(INTRUDER_DOC.replace(old, new))
+        assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
+        assert "bad integer" in capsys.readouterr().err
 
     def test_invalid_rounds_override(self, capsys, tmp_path):
         rc = main(
@@ -295,9 +319,25 @@ class TestVerifyProp1:
         assert "community 2: not a community (failed robustness)" in out
         assert "community 1: isolation ok over 80 rounds" in out
 
-    def test_large_community_hits_cap_without_force(self, capsys):
+    def test_example_two_exhaustive_without_force(self, capsys):
         rc = main(["verify-prop1", "--example", "2", "--rounds", "80"])
-        assert rc == 3
+        assert rc == 0
+        assert "preservation ok over 65535 subsets" in capsys.readouterr().out
+
+    def test_example_one_default_mode_exits_zero(self, capsys):
+        assert main(["verify-prop1", "--example", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"over {2**123 - 1} subsets (exhaustive, threshold 2)" in out
+
+    def test_example_one_sampled_output_is_exact(self, capsys):
+        rc = main(["verify-prop1", "--example", "1", "--mode", "sampled", "--seed", "42"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "community 1: preservation ok over 10000 subsets (sampled, threshold 2)\n"
+            "community 2: preservation ok over 10000 subsets (sampled, threshold 2)\n"
+            "community 1: isolation ok over 5000 rounds\n"
+            "community 2: isolation ok over 5000 rounds\n"
+        )
 
     def test_sampled_mode_on_example_one(self, capsys):
         rc = main(

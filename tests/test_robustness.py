@@ -23,6 +23,7 @@ from commca import (
     verify_reachability_preservation,
 )
 from commca.robustness import _subset_table
+from commca.scenarios import example1
 
 from reference import (
     naive_excess,
@@ -413,7 +414,6 @@ class TestReachabilityPreservation:
         assert res.ok and res.mode == "exhaustive"
         assert res.threshold == 1
         assert res.subsets_checked == 31
-        assert res.counterexample is None
 
     def test_matches_naive_on_random_embeddings(self):
         rng = random.Random(31)
@@ -432,11 +432,26 @@ class TestReachabilityPreservation:
         assert a == b
         assert a.subsets_checked == 500
 
-    def test_exhaustive_cap(self):
-        g = complete_graph(12)
-        with pytest.raises(EnumerationCapExceeded):
-            verify_reachability_preservation(g, range(12), cap=10)
-        assert verify_reachability_preservation(g, range(12), cap=12).ok
+    def test_exhaustive_mode_needs_no_cap(self):
+        cfg = example1()
+        big = max(cfg.layout.subsets, key=len)
+        assert len(big) == 123
+        res = verify_reachability_preservation(cfg.graph, big)
+        assert res.ok and res.mode == "exhaustive"
+        assert res.subsets_checked == 2**123 - 1
+        assert res.threshold == 2
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_property_closed_form_matches_naive(self, data):
+        g = data.draw(graphs(9).filter(lambda g: g.n > 0))
+        members = data.draw(
+            st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n)
+        )
+        res = verify_reachability_preservation(g, members)
+        assert res.ok == naive_preservation_holds(g, members)
+        assert res.threshold == g.max_external_degree(members)
+        assert res.subsets_checked == 2 ** len(members) - 1
 
     def test_input_validation(self):
         g = complete_graph(4)

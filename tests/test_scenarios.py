@@ -237,6 +237,10 @@ class TestDocumentRoundTrip:
         again = load_scenario(format_scenario(cfg))
         assert (again.seed, again.rounds, again.alpha) == (9, 123, 0.25)
 
+    def test_seed_beyond_float_precision_round_trips(self):
+        cfg = example2(seed=2**60 + 1)
+        assert load_scenario(format_scenario(cfg)) == cfg
+
     def test_script_adversary_round_trips(self):
         cfg = example2()
         cfg = SimulationConfig(

@@ -96,8 +96,11 @@ def rac_verdict(
     hull: str = "legitimate",
 ) -> RacVerdict:
     """Classify every community of the trace for agreement and safety."""
-    if epsilon <= 0 or delta <= 0 or tau < 0:
-        raise ValueError("epsilon and delta must be positive and tau non-negative")
+    # every comparison with nan is false, so nan fails this test too
+    if not (0 < epsilon < np.inf and 0 < delta < np.inf and 0 <= tau < np.inf):
+        raise ValueError(
+            "epsilon and delta must be finite and positive, tau finite and non-negative"
+        )
     if window < 1:
         raise ValueError("agreement window must be at least 1")
     if hull not in ("legitimate", "all"):

@@ -1,4 +1,6 @@
-"""Undirected simple graphs over dense agent ids, plus community partitions.
+"""Undirected simple graphs over dense agent ids, plus community partitions
+and the line reader that graph files, community files and scenario documents
+share.
 
 Agents are integers 0..n-1.  Graphs are immutable once built and neighbor
 iteration is sorted by id, so every downstream computation sees the same
@@ -69,10 +71,14 @@ class Graph:
             raise ValueError("minimum degree of an empty graph is undefined")
         return min(len(a) for a in self._adj)
 
+    def external_degrees(self, members: Iterable[int]) -> dict[int, int]:
+        """Number of edges each member has to agents outside `members`."""
+        inside = self._check_members(members)
+        return {u: sum(1 for v in self._adj[u] if v not in inside) for u in inside}
+
     def max_external_degree(self, members: Iterable[int]) -> int:
         """Largest number of edges any member has to agents outside `members`."""
-        inside = self._check_members(members)
-        return max(sum(1 for v in self._adj[u] if v not in inside) for u in inside)
+        return max(self.external_degrees(members).values())
 
     def induced_subgraph(self, members: Iterable[int]) -> "InducedSubgraph":
         """Subgraph on `members`, relabeled 0..k-1 in ascending original id order."""
@@ -265,38 +271,50 @@ class CommunityLayout:
         return f"CommunityLayout(sizes=[{sizes}], malicious={len(self._malicious)})"
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the plain graph format: a line `n <count>`, then one `u v` per edge.
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines of `text` with their 1-based line numbers, minus
+    blank lines and lines starting with '#'."""
+    numbered = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    return [(lineno, line) for lineno, line in numbered if line and not line.startswith("#")]
 
-    Blank lines and lines starting with '#' are ignored.
-    """
-    n: int | None = None
+
+def read_int(lineno: int, token: str, what: str = "integer") -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"line {lineno}: bad {what} {token!r}") from None
+
+
+def read_graph(lines: list[tuple[int, str]]) -> Graph:
+    """Read numbered graph lines: `n <count>`, then one `u v` per edge."""
+    if not lines:
+        raise FormatError("missing 'n <count>' line")
+    (lineno, line), edge_lines = lines[0], lines[1:]
+    tokens = line.split()
+    if len(tokens) != 2 or tokens[0] != "n":
+        raise FormatError(f"line {lineno}: expected 'n <count>', got {line!r}")
+    n = read_int(lineno, tokens[1], "agent count")
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in edge_lines:
         tokens = line.split()
-        if n is None:
-            if len(tokens) != 2 or tokens[0] != "n":
-                raise FormatError(f"line {lineno}: expected 'n <count>', got {line!r}")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad agent count {tokens[1]!r}") from None
-            continue
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             edges.append((int(tokens[0]), int(tokens[1])))
         except ValueError:
             raise FormatError(f"line {lineno}: bad edge {line!r}") from None
-    if n is None:
-        raise FormatError("missing 'n <count>' line")
     try:
         return Graph(n, edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the plain graph format: a line `n <count>`, then one `u v` per edge.
+
+    Blank lines and lines starting with '#' are ignored.
+    """
+    return read_graph(content_lines(text))
 
 
 def format_graph(g: Graph) -> str:
@@ -305,47 +323,70 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_ids(lineno: int, tokens: list[str]) -> list[int]:
+    """Integer agent ids of one line; an id listed twice is an error."""
+    try:
+        ids = [int(tok) for tok in tokens]
+    except ValueError:
+        raise FormatError(f"line {lineno}: bad id list {' '.join(tokens)!r}") from None
+    if len(set(ids)) != len(ids):
+        twice = sorted(u for u in set(ids) if ids.count(u) > 1)
+        raise FormatError(f"line {lineno}: ids listed twice: {twice}")
+    return ids
+
+
+def read_indexed(
+    lines: list[tuple[int, str]]
+) -> tuple[dict[int, tuple[int, str]], list[tuple[int, str]]]:
+    """Split `community <i>: <rest>` lines from the others.
+
+    Returns {i: (line number, rest)} and the other lines in order; an index
+    listed twice is an error.
+    """
+    listed: dict[int, tuple[int, str]] = {}
+    others: list[tuple[int, str]] = []
+    for lineno, line in lines:
+        head, sep, rest = line.partition(":")
+        tokens = head.split()
+        if not sep or len(tokens) != 2 or tokens[0] != "community":
+            others.append((lineno, line))
+            continue
+        idx = read_int(lineno, tokens[1], "community index")
+        if idx in listed:
+            raise FormatError(f"line {lineno}: community {idx} listed twice")
+        listed[idx] = (lineno, rest)
+    return listed, others
+
+
+def read_members(listed: dict[int, tuple[int, str]]) -> list[list[int]]:
+    """Member id lists of communities 1..len(listed), in index order."""
+    if not listed:
+        raise FormatError("no community lines found")
+    order = range(1, len(listed) + 1)
+    if sorted(listed) != list(order):
+        raise FormatError(f"community indices must be 1..{len(listed)}, got {sorted(listed)}")
+    return [read_ids(listed[i][0], listed[i][1].split()) for i in order]
+
+
+def read_malicious(lines: list[tuple[int, str]]) -> tuple[int, str] | None:
+    """The one `malicious: <rest>` line that `lines` may hold, as (line number, rest)."""
+    for k, (lineno, line) in enumerate(lines):
+        head, sep, _ = line.partition(":")
+        if not sep or head.strip() != "malicious":
+            raise FormatError(f"line {lineno}: unrecognized line {line!r}")
+        if k:
+            raise FormatError(f"line {lineno}: repeated malicious line")
+    return (lines[0][0], lines[0][1].partition(":")[2]) if lines else None
+
+
 def parse_communities(text: str) -> CommunityLayout:
     """Parse the community format: `community <i>: <ids>` lines, 1-based and
     consecutive, plus an optional `malicious: <ids>` line."""
-    listed: dict[int, list[int]] = {}
-    malicious: list[int] = []
-    saw_malicious = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise FormatError(f"line {lineno}: expected 'community <i>:' or 'malicious:'")
-        head = head.strip()
-        try:
-            ids = [int(tok) for tok in rest.split()]
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad id list {rest.strip()!r}") from None
-        if head == "malicious":
-            if saw_malicious:
-                raise FormatError(f"line {lineno}: repeated malicious line")
-            saw_malicious = True
-            malicious = ids
-        else:
-            tokens = head.split()
-            if len(tokens) != 2 or tokens[0] != "community":
-                raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-            try:
-                idx = int(tokens[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad community index {tokens[1]!r}") from None
-            if idx in listed:
-                raise FormatError(f"line {lineno}: community {idx} listed twice")
-            listed[idx] = ids
-    if not listed:
-        raise FormatError("no community lines found")
-    expected = list(range(1, len(listed) + 1))
-    if sorted(listed) != expected:
-        raise FormatError(f"community indices must be 1..{len(listed)}, got {sorted(listed)}")
+    listed, others = read_indexed(content_lines(text))
+    found = read_malicious(others)
+    malicious = read_ids(found[0], found[1].split()) if found else []
     try:
-        return CommunityLayout([listed[i] for i in expected], malicious)
+        return CommunityLayout(read_members(listed), malicious)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -1,6 +1,9 @@
 """Scenario builders and the scenario document format.
 
-The three example builders construct the two-community benchmark setups:
+The three example builders construct the two-community benchmark setups on
+one shared skeleton: communities 0..n1-1 and n1..n-1 with a certified
+external degree bound, legitimate values drawn from normal(2, 1) and
+normal(30, 5), and malicious agents holding 60.  They differ in the graph:
 
   example1: two large complete communities that both satisfy the community
     predicate, so both reach agreement inside their own initial intervals.
@@ -15,6 +18,10 @@ The three example builders construct the two-community benchmark setups:
 Builders are self-certifying: they re-check every structural property they
 claim (external degree bounds, community predicate outcomes) and raise if
 construction ever drifts from the claim.
+
+Scenario documents are read with the line grammar of `graph` (blank and '#'
+lines, `community <i>:` heads, id lists, the graph section itself), so error
+line numbers are document lines.
 
 Normal initial values are drawn from a PCG64 generator seeded with the
 config seed; agents are visited in ascending id order, legitimate agents draw
@@ -36,9 +43,15 @@ from .graph import (
     Graph,
     add_cross_edges,
     complete_graph,
+    content_lines,
     disjoint_union,
     format_graph,
-    parse_graph,
+    read_graph,
+    read_ids,
+    read_indexed,
+    read_int,
+    read_malicious,
+    read_members,
 )
 from .protocol import (
     AdversaryStrategy,
@@ -130,6 +143,37 @@ def _certify(condition: bool, claim: str) -> None:
         raise RuntimeError(f"builder self-certification failed: {claim}")
 
 
+def _two_cliques(n1: int, n2: int, f1: int, f2: int) -> tuple[Graph, frozenset[int]]:
+    """Complete graphs on n1 and n2 agents side by side, with the last f1 and
+    the last f2 agents of each malicious."""
+    g = disjoint_union(complete_graph(n1), complete_graph(n2))
+    return g, frozenset(range(n1 - f1, n1)) | frozenset(range(n1 + n2 - f2, n1 + n2))
+
+
+def _two_communities(
+    g: Graph, n1: int, malicious: frozenset[int], external: int,
+    seed: int, rounds: int, alpha: float,
+) -> SimulationConfig:
+    """The skeleton every example shares: communities 0..n1-1 and n1..n-1,
+    both certified to external degree bound `external`; legitimate values
+    start at normal(2, 1) and normal(30, 5); malicious agents hold 60."""
+    communities = (frozenset(range(n1)), frozenset(range(n1, g.n)))
+    for i, members in enumerate(communities, start=1):
+        _certify(
+            g.max_external_degree(members) == external,
+            f"community {i} external degree is {external}",
+        )
+    return SimulationConfig(
+        graph=g,
+        layout=CommunityLayout(communities, malicious),
+        initializer=InitializerSpec((NormalDraw(2.0, 1.0), NormalDraw(30.0, 5.0)), 60.0),
+        adversary=ConstantValue(60.0),
+        alpha=alpha,
+        rounds=rounds,
+        seed=seed,
+    )
+
+
 def example1(
     seed: int = DEFAULT_SEED,
     rounds: int = DEFAULT_ROUNDS,
@@ -144,39 +188,19 @@ def example1(
     degree bound of exactly 2.  Legitimate values start at normal(2, 1) and
     normal(30, 5); malicious agents hold 60.
     """
-    f1, f2 = 20, 10
-    n1, n2 = 123, 35
-    g = disjoint_union(complete_graph(n1), complete_graph(n2))
-    community1 = frozenset(range(n1))
-    community2 = frozenset(range(n1, n1 + n2))
-    malicious = frozenset(range(n1 - f1, n1)) | frozenset(range(n1 + n2 - f2, n1 + n2))
-    legit1 = sorted(community1 - malicious)
-    legit2 = sorted(community2 - malicious)
-
+    n1, n2, f1, f2 = 123, 35, 20, 10
+    g, malicious = _two_cliques(n1, n2, f1, f2)
+    legit = [u for u in range(g.n) if u not in malicious]
     rng = np.random.Generator(np.random.PCG64(seed))
-    side1 = [int(u) for u in rng.permutation(legit1)]
-    side2 = [int(u) for u in rng.permutation(legit2)]
-    pairs = [(side1[i % 24], side2[i % 25]) for i in range(26)]
-    g = add_cross_edges(g, pairs)
-
-    _certify(g.max_external_degree(community1) == 2, "community 1 external degree is 2")
-    _certify(g.max_external_degree(community2) == 2, "community 2 external degree is 2")
-    check1 = robustness.is_community(g, community1, f1)
-    check2 = robustness.is_community(g, community2, f2)
-    _certify(check1.is_community, "community 1 passes the community predicate")
-    _certify(check2.is_community, "community 2 passes the community predicate")
-
-    layout = CommunityLayout([community1, community2], malicious)
-    init = InitializerSpec((NormalDraw(2.0, 1.0), NormalDraw(30.0, 5.0)), 60.0)
-    return SimulationConfig(
-        graph=g,
-        layout=layout,
-        initializer=init,
-        adversary=ConstantValue(60.0),
-        alpha=alpha,
-        rounds=rounds,
-        seed=seed,
-    )
+    side1 = [int(u) for u in rng.permutation(legit[: n1 - f1])]
+    side2 = [int(u) for u in rng.permutation(legit[n1 - f1 :])]
+    g = add_cross_edges(g, [(side1[i % 24], side2[i % 25]) for i in range(26)])
+    config = _two_communities(g, n1, malicious, 2, seed, rounds, alpha)
+    layout = config.layout
+    for i, members in enumerate(layout.subsets):
+        check = robustness.is_community(g, members, layout.malicious_count(i))
+        _certify(check.is_community, f"community {i + 1} passes the community predicate")
+    return config
 
 
 def example2(
@@ -196,25 +220,17 @@ def example2(
     on either side.  One cross edge joins the first agents of the two
     communities.
     """
-    f1, f2 = 6, 1
-    n1, n2 = 16, 9
-    base = list(complete_graph(n1).edges)
-    # community 2, original ids 16..24: 5-clique, 4-clique, bridge edges
-    five = list(range(16, 21))
-    four = list(range(21, 25))
-    edges = base
-    edges += [(a, b) for i, a in enumerate(five) for b in five[i + 1 :]]
-    edges += [(a, b) for i, a in enumerate(four) for b in four[i + 1 :]]
+    n1, f1 = 16, 6
+    five, four = EXAMPLE2_SPLIT
+    edges = list(complete_graph(n1).edges)
+    edges += [(a, b) for a in five for b in five if a < b]
+    edges += [(a, b) for a in four for b in four if a < b]
     edges += [(20, b) for b in four]
-    g = Graph(n1 + n2, edges)
-    g = add_cross_edges(g, [(0, 16)])
-
-    community1 = frozenset(range(n1))
-    community2 = frozenset(range(n1, n1 + n2))
+    g = add_cross_edges(Graph(n1 + 9, edges), [(0, 16)])
     malicious = frozenset(range(n1 - f1, n1)) | {20}
+    config = _two_communities(g, n1, malicious, 1, seed, rounds, alpha)
+    community1, community2 = config.layout.subsets
 
-    _certify(g.max_external_degree(community1) == 1, "community 1 external degree is 1")
-    _certify(g.max_external_degree(community2) == 1, "community 2 external degree is 1")
     check1 = robustness.is_community(g, community1, f1)
     _certify(check1.is_community, "community 1 passes the community predicate")
     sub, nodes = g.induced_subgraph(community2)
@@ -224,18 +240,7 @@ def example2(
     split = tuple(frozenset(nodes.index(u) for u in side) for side in EXAMPLE2_SPLIT)
     ev = robustness.evaluate_pair(sub, split[0], split[1], 1, 2)
     _certify(not ev.satisfied, "the clique split violates the (1, 2) clauses")
-
-    layout = CommunityLayout([community1, community2], malicious)
-    init = InitializerSpec((NormalDraw(2.0, 1.0), NormalDraw(30.0, 5.0)), 60.0)
-    return SimulationConfig(
-        graph=g,
-        layout=layout,
-        initializer=init,
-        adversary=ConstantValue(60.0),
-        alpha=alpha,
-        rounds=rounds,
-        seed=seed,
-    )
+    return config
 
 
 def example3(
@@ -255,26 +260,13 @@ def example3(
     among sixteen neighbors, enough to drag the whole community out of its
     initial interval.  Community 2 still passes the predicate.
     """
-    f1, f2 = 6, 3
-    n1, n2 = 15, 11
-    g = disjoint_union(complete_graph(n1), complete_graph(n2))
-    community1 = frozenset(range(n1))
-    community2 = frozenset(range(n1, n1 + n2))
-    malicious = frozenset(range(n1 - f1, n1)) | frozenset(range(n1 + n2 - f2, n1 + n2))
-    carriers = [0, 1, 2]
-    targets = [23, 24, 25]
-    pairs = [
-        (carriers[0], targets[0]),
-        (carriers[0], targets[1]),
-        (carriers[1], targets[1]),
-        (carriers[1], targets[2]),
-        (carriers[2], targets[2]),
-        (carriers[2], targets[0]),
-    ]
-    g = add_cross_edges(g, pairs)
+    n1, f1, f2 = 15, 6, 3
+    g, malicious = _two_cliques(n1, 11, f1, f2)
+    # carriers 0, 1, 2 of community 1 to malicious targets 23, 24, 25
+    g = add_cross_edges(g, [(0, 23), (0, 24), (1, 24), (1, 25), (2, 25), (2, 23)])
+    config = _two_communities(g, n1, malicious, 2, seed, rounds, alpha)
+    community1, community2 = config.layout.subsets
 
-    _certify(g.max_external_degree(community1) == 2, "community 1 external degree is 2")
-    _certify(g.max_external_degree(community2) == 2, "community 2 external degree is 2")
     check1 = robustness.is_community(g, community1, f1)
     _certify(check1.robust, "community 1 passes the robustness clause")
     _certify(
@@ -284,18 +276,7 @@ def example3(
     )
     check2 = robustness.is_community(g, community2, f2)
     _certify(check2.is_community, "community 2 passes the community predicate")
-
-    layout = CommunityLayout([community1, community2], malicious)
-    init = InitializerSpec((NormalDraw(2.0, 1.0), NormalDraw(30.0, 5.0)), 60.0)
-    return SimulationConfig(
-        graph=g,
-        layout=layout,
-        initializer=init,
-        adversary=ConstantValue(60.0),
-        alpha=alpha,
-        rounds=rounds,
-        seed=seed,
-    )
+    return config
 
 
 EXAMPLES = {1: example1, 2: example2, 3: example3}
@@ -307,33 +288,16 @@ _SECTIONS = ("graph", "communities", "malicious", "init", "protocol", "adversary
 def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
     sections: dict[str, list[tuple[int, str]]] = {}
     current: list[tuple[int, str]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         if line in _SECTIONS:
             if line in sections:
                 raise FormatError(f"line {lineno}: repeated section {line!r}")
-            current = sections.setdefault(line, [])
+            current = sections[line] = []
             continue
         if current is None:
             raise FormatError(f"line {lineno}: content before any section header")
         current.append((lineno, line))
     return sections
-
-
-def _parse_ids(lineno: int, tokens: list[str]) -> list[int]:
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise FormatError(f"line {lineno}: bad id list {' '.join(tokens)!r}") from None
-
-
-def _parse_int(lineno: int, token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"line {lineno}: bad integer {token!r}") from None
 
 
 def _parse_float(lineno: int, token: str) -> float:
@@ -345,74 +309,48 @@ def _parse_float(lineno: int, token: str) -> float:
 
 def _parse_communities_section(
     lines: list[tuple[int, str]]
-) -> tuple[dict[int, list[int]], dict[int, int]]:
-    listed: dict[int, list[int]] = {}
+) -> tuple[list[list[int]], dict[int, int]]:
+    listed, others = read_indexed(lines)
     bounds: dict[int, int] = {}
-    for lineno, line in lines:
-        if line.startswith("external"):
-            tokens = line.split()
-            if len(tokens) != 3:
-                raise FormatError(f"line {lineno}: expected 'external <i> <bound>'")
-            idx = _parse_int(lineno, tokens[1])
-            bounds[idx] = _parse_int(lineno, tokens[2])
-            continue
-        head, sep, rest = line.partition(":")
-        tokens = head.split()
-        if not sep or len(tokens) != 2 or tokens[0] != "community":
+    for lineno, line in others:
+        if not line.startswith("external"):
             raise FormatError(f"line {lineno}: unrecognized community line {line!r}")
-        try:
-            idx = int(tokens[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad community index {tokens[1]!r}") from None
-        if idx in listed:
-            raise FormatError(f"line {lineno}: community {idx} listed twice")
-        listed[idx] = _parse_ids(lineno, rest.split())
-    if not listed:
-        raise FormatError("communities section lists no communities")
-    if sorted(listed) != list(range(1, len(listed) + 1)):
-        raise FormatError(
-            f"community indices must be 1..{len(listed)}, got {sorted(listed)}"
-        )
-    return listed, bounds
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise FormatError(f"line {lineno}: expected 'external <i> <bound>'")
+        idx = read_int(lineno, tokens[1])
+        if idx in bounds:
+            raise FormatError(f"line {lineno}: repeated external bound for community {idx}")
+        bounds[idx] = read_int(lineno, tokens[2])
+    return read_members(listed), bounds
 
 
 def _parse_init_section(
     lines: list[tuple[int, str]], count: int
 ) -> tuple[dict[int, NormalDraw | ExplicitValues], float | None]:
-    entries: dict[int, NormalDraw | ExplicitValues] = {}
+    listed, others = read_indexed(lines)
     malicious_value: float | None = None
-    for lineno, line in lines:
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise FormatError(f"line {lineno}: unrecognized init line {line!r}")
-        head = head.strip()
+    found = read_malicious(others)
+    if found:
+        lineno, rest = found
         tokens = rest.split()
-        if head == "malicious":
-            if len(tokens) != 2 or tokens[0] != "constant":
-                raise FormatError(f"line {lineno}: expected 'malicious: constant <v>'")
-            malicious_value = _parse_float(lineno, tokens[1])
-            if not math.isfinite(malicious_value):
-                raise FormatError(f"line {lineno}: malicious constant must be finite")
-            continue
-        parts = head.split()
-        if len(parts) != 2 or parts[0] != "community":
-            raise FormatError(f"line {lineno}: unrecognized init line {line!r}")
-        try:
-            idx = int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad community index {parts[1]!r}") from None
+        if len(tokens) != 2 or tokens[0] != "constant":
+            raise FormatError(f"line {lineno}: expected 'malicious: constant <v>'")
+        malicious_value = _parse_float(lineno, tokens[1])
+        if not math.isfinite(malicious_value):
+            raise FormatError(f"line {lineno}: malicious constant must be finite")
+    entries: dict[int, NormalDraw | ExplicitValues] = {}
+    for idx, (lineno, rest) in listed.items():
         if not (1 <= idx <= count):
             raise FormatError(f"line {lineno}: init for unknown community {idx}")
-        if idx in entries:
-            raise FormatError(f"line {lineno}: repeated init for community {idx}")
+        tokens = rest.split()
         if not tokens:
             raise FormatError(f"line {lineno}: empty init entry")
         if tokens[0] == "normal":
             if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: expected 'normal <mean> <variance>'")
-            entries[idx] = NormalDraw(
-                _parse_float(lineno, tokens[1]), _parse_float(lineno, tokens[2])
-            )
+            mean, variance = (_parse_float(lineno, tok) for tok in tokens[1:])
+            entries[idx] = _build(lineno, NormalDraw, mean, variance)
         elif tokens[0] == "explicit":
             entries[idx] = ExplicitValues(
                 tuple(_parse_float(lineno, tok) for tok in tokens[1:])
@@ -430,7 +368,7 @@ def _parse_protocol_section(lines: list[tuple[int, str]]) -> tuple[float, int, i
             raise FormatError(f"line {lineno}: unrecognized protocol line {line!r}")
         if tokens[0] in seen:
             raise FormatError(f"line {lineno}: repeated protocol key {tokens[0]!r}")
-        parse = _parse_float if tokens[0] == "alpha" else _parse_int
+        parse = _parse_float if tokens[0] == "alpha" else read_int
         seen[tokens[0]] = parse(lineno, tokens[1])
     missing = [k for k in ("alpha", "rounds", "seed") if k not in seen]
     if missing:
@@ -438,10 +376,10 @@ def _parse_protocol_section(lines: list[tuple[int, str]]) -> tuple[float, int, i
     return seen["alpha"], seen["rounds"], seen["seed"]
 
 
-def _strategy(lineno: int, make, *args) -> AdversaryStrategy:
+def _build(lineno: int, make, *args):
     try:
         return make(*args)
-    except ValueError as exc:  # the strategy rejected a value, e.g. nan
+    except ValueError as exc:  # the constructor rejected a value, e.g. nan
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
@@ -454,12 +392,12 @@ def _parse_adversary_section(lines: list[tuple[int, str]]) -> AdversaryStrategy:
     if kind == "constant":
         if len(tokens) != 2 or len(lines) > 1:
             raise FormatError(f"line {lineno}: expected a single 'constant <v>' line")
-        return _strategy(lineno, ConstantValue, _parse_float(lineno, tokens[1]))
+        return _build(lineno, ConstantValue, _parse_float(lineno, tokens[1]))
     if kind == "script":
         if len(tokens) < 2 or len(lines) > 1:
             raise FormatError(f"line {lineno}: expected a single 'script <v...>' line")
         values = tuple(_parse_float(lineno, tok) for tok in tokens[1:])
-        return _strategy(lineno, RoundScript, values)
+        return _build(lineno, RoundScript, values)
     if kind == "table":
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'table <default>'")
@@ -471,9 +409,13 @@ def _parse_adversary_section(lines: list[tuple[int, str]]) -> AdversaryStrategy:
                 raise FormatError(
                     f"line {entry_lineno}: expected '<agent> <neighbor> <value>'"
                 )
-            agent, neighbor = _parse_ids(entry_lineno, parts[:2])
+            agent, neighbor = read_ids(entry_lineno, parts[:2])
+            if (agent, neighbor) in entries:
+                raise FormatError(
+                    f"line {entry_lineno}: repeated table entry {agent} {neighbor}"
+                )
             entries[agent, neighbor] = _parse_float(entry_lineno, parts[2])
-        return _strategy(lineno, PerNeighborTable, entries, default)
+        return _build(lineno, PerNeighborTable, entries, default)
     raise FormatError(f"line {lineno}: unknown adversary kind {kind!r}")
 
 
@@ -490,36 +432,33 @@ def load_scenario(text: str) -> SimulationConfig:
     if missing:
         raise FormatError(f"missing sections: {missing}")
 
-    graph_text = "\n".join(line for _, line in sections["graph"])
-    g = parse_graph(graph_text)
-    listed, bounds = _parse_communities_section(sections["communities"])
+    g = read_graph(sections["graph"])
+    members, bounds = _parse_communities_section(sections["communities"])
     malicious: list[int] = []
     for lineno, line in sections.get("malicious", []):
-        malicious.extend(_parse_ids(lineno, line.split()))
-    entries, malicious_value = _parse_init_section(sections["init"], len(listed))
+        malicious.extend(read_ids(lineno, line.split()))
+    entries, malicious_value = _parse_init_section(sections["init"], len(members))
     alpha, rounds, seed = _parse_protocol_section(sections["protocol"])
 
     problems: list[str] = []
     try:
-        layout = CommunityLayout([listed[i] for i in sorted(listed)], malicious)
+        layout = CommunityLayout(members, malicious)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
 
+    # bounds are checked on a covering layout only: validation_problems reports the rest
+    covering = layout.agents == frozenset(range(g.n))
     for idx in sorted(bounds):
         if not (1 <= idx <= len(layout)):
             problems.append(f"external bound for unknown community {idx}")
-            continue
-        actual = g.max_external_degree(layout.subsets[idx - 1])
-        if actual > bounds[idx]:
-            offenders = sorted(
-                u for u in layout.subsets[idx - 1]
-                if sum(1 for v in g.neighbors(u) if v not in layout.subsets[idx - 1])
-                > bounds[idx]
-            )
-            problems.append(
-                f"community {idx} declares external bound {bounds[idx]} but has "
-                f"external degree {actual} (agents {offenders})"
-            )
+        elif covering:
+            degrees = g.external_degrees(layout.subsets[idx - 1])
+            offenders = sorted(u for u, d in degrees.items() if d > bounds[idx])
+            if offenders:
+                problems.append(
+                    f"community {idx} declares external bound {bounds[idx]} but has "
+                    f"external degree {max(degrees.values())} (agents {offenders})"
+                )
 
     missing_init = [i + 1 for i in range(len(layout)) if i + 1 not in entries]
     if missing_init:

@@ -171,6 +171,12 @@ class TestVerdictShape:
         with pytest.raises(ValueError):
             rac_verdict(trace, hull="convex")
 
+    @pytest.mark.parametrize("name", ["epsilon", "delta", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_thresholds_rejected(self, name, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            rac_verdict(converging_pair_trace(), **{name: value})
+
     def test_window_longer_than_trace_rejected(self):
         with pytest.raises(ValueError, match="window"):
             rac_verdict(converging_pair_trace(rounds=10), window=50)

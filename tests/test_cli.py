@@ -293,6 +293,17 @@ class TestRun:
         assert "community 2: agreement=yes" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--eps", "nan"), ("--delta", "nan"), ("--eps", "inf")]
+    )
+    def test_non_finite_thresholds_exit_code(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        rc = main(["run", "--example", "2", "--rounds", "200", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert "epsilon and delta must be finite and positive" in capsys.readouterr().err
+        assert not (out / "verdict.txt").exists()
+
+
 class TestScenarioCommand:
     def test_stdout_document_reproduces_example(self, capsys):
         assert main(["scenario", "--example", "3"]) == 0

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -287,3 +288,16 @@ class TestCommunityFiles:
     def test_malicious_line_parsed(self):
         layout = parse_communities("community 1: 0 1 2\nmalicious: 2\n")
         assert layout.malicious == frozenset({2})
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("community 1: 0 1 0\n", "line 1: ids listed twice: [0]"),
+            ("# ids\n\ncommunity 1: 0 1\nmalicious: 1 1\n", "line 4: ids listed twice: [1]"),
+            ("community 1: 0\n\ncommunity 1: 1\n", "line 3: community 1 listed twice"),
+            ("community 1: 0\nmalicious: 0\nmalicious: 0\n", "line 3: repeated malicious line"),
+        ],
+    )
+    def test_repeated_declarations_name_their_line(self, text, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_communities(text)

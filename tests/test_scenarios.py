@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commca import (
     CommunityLayout,
@@ -432,3 +436,95 @@ class TestDocumentParsing:
             "protocol\n", "# mid\nprotocol\n"
         )
         assert load_scenario(doc).rounds == 10
+
+    @pytest.mark.parametrize(
+        "row, inserted, line",
+        [(5, [], 6), (6, ["", "# a comment"], 9)],
+    )
+    def test_graph_errors_name_the_document_line(self, row, inserted, line):
+        lines = format_scenario(example2()).splitlines()
+        lines[row] = "3 x"
+        lines[1:1] = inserted
+        with pytest.raises(FormatError, match=rf"^line {line}: bad edge"):
+            load_scenario("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                BASE_DOC.replace("2 3\ninit", "2 3\nexternal 1 0\nexternal 1 5\ninit"),
+                "line 10: repeated external bound for community 1",
+            ),
+            (
+                MALICIOUS_DOC + "adversary\ntable 60.0\n3 2 1.0\n3 2 5.0\n",
+                "line 22: repeated table entry 3 2",
+            ),
+            (
+                BASE_DOC.replace("community 2: 2 3", "community 2: 2 3 2"),
+                "line 8: ids listed twice: [2]",
+            ),
+            (
+                MALICIOUS_DOC.replace("malicious\n3\n", "malicious\n3 3\n"),
+                "line 10: ids listed twice: [3]",
+            ),
+            (
+                MALICIOUS_DOC.replace("constant 60.0", "constant 60.0\nmalicious: constant 5.0"),
+                "line 15: repeated malicious line",
+            ),
+        ],
+        ids=["external", "table entry", "community id", "malicious id", "malicious constant"],
+    )
+    def test_repeated_declarations_rejected(self, doc, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_scenario(doc)
+
+    def test_community_id_outside_graph_with_bound_is_a_config_error(self):
+        doc = BASE_DOC.replace("community 2: 2 3\n", "community 2: 2 3 9\nexternal 2 1\n")
+        with pytest.raises(ConfigError, match=r"community ids not in the graph: \[9\]"):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize("variance", ["-1", "nan", "inf"])
+    def test_bad_variance_names_its_line(self, variance):
+        doc = BASE_DOC.replace("normal 5.0 1.0", f"normal 5.0 {variance}")
+        with pytest.raises(FormatError, match=r"^line 11: variance must be finite"):
+            load_scenario(doc)
+
+
+FUZZ_DOCS = [
+    BASE_DOC,
+    MALICIOUS_DOC + "adversary\ntable 60.0\n3 2 1.0\n",
+    *(format_scenario(build(rounds=20)) for build in (example1, example2, example3)),
+]
+FUZZ_TOKENS = [
+    "-1", "2", "99", "nan", "inf", "1e400", "x", ":", "community 1:", "external 1", "malicious",
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """One edit to one line of a known-good document: a second edit mostly
+    lands behind the first one's FormatError and tests nothing new."""
+    lines = draw(st.sampled_from(FUZZ_DOCS)).splitlines()
+    # skip the edge list past its first edge: its grammar is one line long
+    i = draw(st.sampled_from([0, 1, 2, *range(lines.index("communities"), len(lines))]))
+    tokens = lines[i].split()
+    edit = draw(st.sampled_from(["replace", "replace", "replace", "repeat", "delete", "insert"]))
+    if edit == "replace":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(FUZZ_TOKENS))
+        lines[i] = " ".join(tokens)
+    elif edit == "repeat":
+        lines.insert(i, lines[i])
+    elif edit == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, " ".join(draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=3))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_documents())
+def test_mutated_documents_raise_only_format_or_config_errors(doc):
+    try:
+        load_scenario(doc)
+    except (FormatError, ConfigError):
+        pass

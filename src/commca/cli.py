@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import format_verdict, rac_verdict, summary_lines
-from .graph import FormatError, parse_communities, parse_graph
+from .graph import parse_communities, parse_graph
 from .protocol import ConfigError, run
 from .robustness import (
     DEFAULT_ENUMERATION_CAP,
@@ -55,6 +55,8 @@ def _build_config(args):
         overrides["alpha"] = args.alpha
     if getattr(args, "rounds", None) is not None:
         overrides["rounds"] = args.rounds
+    if overrides.get("seed", 0) < 0:  # the example builders draw from it at once
+        raise ConfigError([f"seed must be non-negative, got {args.seed}"])
     if args.example is not None:
         return EXAMPLES[args.example](**overrides)
     text = Path(args.scenario).read_text()
@@ -247,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:  # FormatError and ConfigError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationCapExceeded as exc:
@@ -256,12 +258,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

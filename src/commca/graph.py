@@ -137,9 +137,6 @@ class InducedSubgraph(NamedTuple):
     graph: Graph
     nodes: tuple[int, ...]
 
-    def original_id(self, new_id: int) -> int:
-        return self.nodes[new_id]
-
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on n >= 1 agents."""

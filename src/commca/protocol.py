@@ -9,16 +9,18 @@ Malicious agents follow no update rule: a strategy decides what they present,
 and their stored trace value tracks what they present.  Rounds are
 synchronous: every round-t+1 value is computed from round-t values only.
 
-Every strategy presents overrides.get((v, u), displayed(v, t)) with a fixed
-overrides map, so run() is one vectorized engine for all of them; step() is
-the plain reference it must agree with exactly, which the tests check bitwise.
+An adversary is a plain value: a per-round script that every malicious
+agent displays (holding its last entry) plus fixed per-neighbor overrides.
+Malicious agent v presents overrides.get((v, u), script[t]) to neighbor u, so
+run() tabulates the whole malicious schedule once and is one vectorized
+engine for every adversary; step() is the plain reference it must agree with
+exactly, which the tests check bitwise.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -53,75 +55,55 @@ def _require_finite(what: str, values: Iterable[float]) -> None:
         raise ValueError(f"{what} must be finite, got {bad[0]!r}")
 
 
-class AdversaryStrategy(ABC):
+@dataclass(frozen=True)
+class AdversaryStrategy:
     """Decides the values malicious agents present to their neighbors.
 
-    An agent presents displayed(agent, t) to every neighbor, except that the
-    fixed overrides map may name what it presents to one neighbor at all t.
+    At round t every malicious agent presents script[min(t, len(script) - 1)],
+    so the script holds its last entry, except that overrides[(agent,
+    neighbor)] fixes what `agent` presents to `neighbor` at every round.
+    Overrides need a single-value script: the scenario format writes them as
+    a table with one default.
     """
 
-    @property
-    def overrides(self) -> Mapping[tuple[int, int], float]:
-        """(agent, neighbor) -> value presented instead of displayed()."""
-        return {}
+    script: tuple[float, ...]
+    overrides: Mapping[tuple[int, int], float] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        if not self.script:
+            raise ValueError("script needs at least one value")
+        if self.overrides and len(self.script) > 1:
+            raise ValueError("per-neighbor overrides need a single-value script")
+        # a copy, so that a caller editing its dict cannot change this value
+        object.__setattr__(self, "overrides", dict(self.overrides))
+        what = "table values" if self.overrides else "script values"
+        _require_finite(what, [*self.script, *self.overrides.values()])
+
+    def displayed(self, agent: int, t: int) -> float:
+        """Value of `agent` at round t, recorded in the trace for t >= 1."""
+        return self.script[min(t, len(self.script) - 1)]
 
     def present(self, agent: int, neighbor: int, t: int) -> float:
         """Value `agent` presents to `neighbor` at round t."""
         return self.overrides.get((agent, neighbor), self.displayed(agent, t))
 
-    @abstractmethod
-    def displayed(self, agent: int, t: int) -> float:
-        """Value of `agent` at round t, recorded in the trace for t >= 1."""
 
-
-@dataclass(frozen=True)
-class ConstantValue(AdversaryStrategy):
+def ConstantValue(value: float) -> AdversaryStrategy:
     """Every malicious agent presents one fixed value forever."""
-
-    value: float
-
-    def __post_init__(self):
-        _require_finite("constant value", [self.value])
-
-    def displayed(self, agent: int, t: int) -> float:
-        return self.value
+    return AdversaryStrategy((value,))
 
 
-@dataclass(frozen=True)
-class RoundScript(AdversaryStrategy):
+def RoundScript(values: Sequence[float]) -> AdversaryStrategy:
     """Presented value follows a per-round script, holding its last entry."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("script needs at least one value")
-        _require_finite("script values", self.values)
-
-    def displayed(self, agent: int, t: int) -> float:
-        return self.values[min(t, len(self.values) - 1)]
+    return AdversaryStrategy(tuple(values))
 
 
-@dataclass(frozen=True, eq=True)
-class PerNeighborTable(AdversaryStrategy):
-    """Equivocation: (agent, neighbor) pairs map to presented values.
-
-    Pairs missing from the table fall back to `default`, which is also the
-    value recorded in the trace for table-driven agents.
-    """
-
-    entries: Mapping[tuple[int, int], float]
-    default: float
-
-    def __post_init__(self):
-        _require_finite("table values", [self.default, *self.entries.values()])
-
-    @property
-    def overrides(self) -> Mapping[tuple[int, int], float]:
-        return self.entries
-
-    def displayed(self, agent: int, t: int) -> float:
-        return self.default
+def PerNeighborTable(
+    entries: Mapping[tuple[int, int], float], default: float
+) -> AdversaryStrategy:
+    """Equivocation: (agent, neighbor) pairs map to presented values; other
+    pairs, and the trace, get `default`."""
+    return AdversaryStrategy((default,), entries)
 
 
 @dataclass(frozen=True)
@@ -164,6 +146,8 @@ class SimulationConfig:
             problems.append(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
         if self.rounds < 1:
             problems.append(f"round count must be at least 1, got {self.rounds}")
+        if self.seed < 0:
+            problems.append(f"seed must be non-negative, got {self.seed}")
         try:
             self.layout.require_covering(self.graph)
         except ValueError as exc:
@@ -303,7 +287,6 @@ def run(config: SimulationConfig) -> Trace:
     config.validate()
     g, layout = config.graph, config.layout
     n, T, alpha = g.n, config.rounds, config.alpha
-    adversary = config.adversary
 
     x0 = np.array(
         config.initializer.initial_values(g, layout, config.seed), dtype=np.float64
@@ -314,12 +297,17 @@ def run(config: SimulationConfig) -> Trace:
         bad = sorted(int(u) for u in np.flatnonzero(~np.isfinite(x0)))
         raise ConfigError([f"non-finite initial values for agents {bad}"])
 
-    malicious_ids = sorted(layout.malicious)
+    # no adversary behaves like a script that no agent shows
+    adversary = config.adversary or AdversaryStrategy((0.0,))
+    mal_arr = np.array(sorted(layout.malicious), dtype=np.intp)
     legit_ids = sorted(layout.legitimate)
     legit_arr = np.array(legit_ids, dtype=np.intp)
+    # shown[t] is what every malicious agent displays at round t
+    script = np.array(adversary.script, dtype=np.float64)
+    shown = script[np.minimum(np.arange(T + 1), script.size - 1)]
     # p[:n] is what each agent presents by default; each fixed override gets
     # a slot of its own after those, which the gather indices point at
-    overrides = adversary.overrides if adversary is not None else {}
+    overrides = adversary.overrides
     slot = {key: n + k for k, key in enumerate(overrides)}
     p = np.array([0.0] * n + list(overrides.values()), dtype=np.float64)
 
@@ -349,19 +337,20 @@ def run(config: SimulationConfig) -> Trace:
 
     rows = np.empty((T + 1, n), dtype=np.float64)
     rows[0] = x0
-    medians = np.full(n, np.nan)
+    # legitimate and malicious agents together are all agents (validated)
+    rows[1:, mal_arr] = shown[1:, None]
 
     for t in range(T):
         x, nxt = rows[t], rows[t + 1]
         p[:n] = x
-        for m in malicious_ids:
-            p[m] = adversary.displayed(m, t)
+        p[mal_arr] = shown[t]
+        # legitimate medians go straight into the next row, then get blended
         for ids_arr, idx, lo, hi in groups:
             block = np.sort(p[idx], axis=1)
-            medians[ids_arr] = block[:, hi] if lo == hi else (block[:, lo] + block[:, hi]) / 2.0
+            nxt[ids_arr] = block[:, hi] if lo == hi else (block[:, lo] + block[:, hi]) / 2.0
 
         for i, arr, low, high in watched:
-            m_i = medians[arr]
+            m_i = nxt[arr]
             bad = (m_i < low) | (m_i > high)
             if bad.any():
                 iso_count[i] += int(bad.sum())
@@ -369,10 +358,7 @@ def run(config: SimulationConfig) -> Trace:
                     j = int(np.argmax(bad))
                     iso_first[i] = (t, int(arr[j]), float(m_i[j]))
 
-        # legitimate and malicious agents together are all agents (validated)
-        nxt[legit_arr] = alpha * x[legit_arr] + (1.0 - alpha) * medians[legit_arr]
-        for m in malicious_ids:
-            nxt[m] = adversary.displayed(m, t + 1)
+        nxt[legit_arr] = alpha * x[legit_arr] + (1.0 - alpha) * nxt[legit_arr]
 
     rows.setflags(write=False)
     reports = tuple(IsolationReport(i, iso_count[i], iso_first[i]) for i in range(c))

@@ -269,9 +269,15 @@ def _decide(
     pair = _violating_pair(g.neighbor_masks(), r, s)
     if pair is None:
         return RobustnessWitness(True, r, label)
-    a, b = _mask_ids(pair[0]), _mask_ids(pair[1])
+    return _violation(g, _mask_ids(pair[0]), _mask_ids(pair[1]), r, s, label)
+
+
+def _violation(
+    g: Graph, a: Iterable[int], b: Iterable[int], r: int, s: int, label: int | None
+) -> RobustnessWitness:
     ev = evaluate_pair(g, a, b, r, s)
-    return RobustnessWitness(False, r, label, (a, b), (ev.first, ev.second))
+    pair = (ev.first.subset, ev.second.subset)
+    return RobustnessWitness(False, r, label, pair, (ev.first, ev.second))
 
 
 def is_rs_excess_robust(
@@ -311,8 +317,12 @@ def complete_rs_certificate(n: int, r: int, s: int) -> bool:
         raise ValueError("r must be non-negative")
     if s < 1:
         raise ValueError("s must be at least 1")
-    k_min = max(1, (n + 1 - r) // 2 + 1)
-    return 2 * k_min > n
+    return 2 * _complete_k_min(n, r) > n
+
+
+def _complete_k_min(n: int, r: int) -> int:
+    # the smallest k whose k-subsets of K_n have excess n - 2k + 1 below r
+    return max(1, (n + 1 - r) // 2 + 1)
 
 
 def is_community(
@@ -326,7 +336,8 @@ def is_community(
     The robustness clause runs on the induced subgraph at threshold equal to
     the member set's external degree bound, with required count
     malicious_count + 1.  When the induced subgraph is complete the closed
-    form replaces enumeration, so large complete communities stay checkable.
+    form replaces enumeration, so large complete communities stay checkable;
+    a failing one gets the pair the closed form's proof names as witness.
     """
     if malicious_count < 0:
         raise ValueError("malicious count must be non-negative")
@@ -341,6 +352,11 @@ def is_community(
     elif sub.is_complete():
         robust = complete_rs_certificate(sub.n, ext, malicious_count + 1)
         analytic = True
+        if not robust:  # the certificate's proof: two disjoint k_min-sets fail
+            k = _complete_k_min(sub.n, ext)
+            witness = _violation(sub, range(k), range(k, 2 * k), ext,
+                                 malicious_count + 1, malicious_count + 1)
+            witness = _translate_witness(witness, nodes)
     else:
         witness = is_rs_excess_robust(sub, ext, malicious_count + 1, cap=cap)
         witness = _translate_witness(witness, nodes)

@@ -436,7 +436,11 @@ def load_scenario(text: str) -> SimulationConfig:
     members, bounds = _parse_communities_section(sections["communities"])
     malicious: list[int] = []
     for lineno, line in sections.get("malicious", []):
-        malicious.extend(read_ids(lineno, line.split()))
+        ids = read_ids(lineno, line.split())
+        again = sorted(set(ids) & set(malicious))
+        if again:
+            raise FormatError(f"line {lineno}: ids listed twice: {again}")
+        malicious.extend(ids)
     entries, malicious_value = _parse_init_section(sections["init"], len(members))
     alpha, rounds, seed = _parse_protocol_section(sections["protocol"])
 
@@ -526,14 +530,12 @@ def format_scenario(config: SimulationConfig) -> str:
     adversary = config.adversary
     if adversary is not None:
         lines.append("adversary")
-        if isinstance(adversary, ConstantValue):
-            lines.append(f"constant {adversary.value!r}")
-        elif isinstance(adversary, RoundScript):
-            lines.append("script " + " ".join(repr(v) for v in adversary.values))
-        elif isinstance(adversary, PerNeighborTable):
-            lines.append(f"table {adversary.default!r}")
-            for (agent, neighbor), value in sorted(adversary.entries.items()):
+        if adversary.overrides:
+            lines.append(f"table {adversary.script[0]!r}")
+            for (agent, neighbor), value in sorted(adversary.overrides.items()):
                 lines.append(f"{agent} {neighbor} {value!r}")
+        elif len(adversary.script) == 1:
+            lines.append(f"constant {adversary.script[0]!r}")
         else:
-            raise ValueError(f"cannot serialize adversary {type(adversary).__name__}")
+            lines.append("script " + " ".join(repr(v) for v in adversary.script))
     return "\n".join(lines) + "\n"

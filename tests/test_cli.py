@@ -2,6 +2,7 @@ import pytest
 
 from commca import (
     Graph,
+    add_cross_edges,
     complete_graph,
     disjoint_union,
     format_communities,
@@ -111,6 +112,18 @@ class TestCheckCommunities:
         rc = main(["check", gpath, "--communities", cpath, "--community", "4"])
         assert rc == 1
         assert "failed=degree" in capsys.readouterr().out
+
+    def test_failing_complete_community_prints_its_pair(self, tmp_path, capsys):
+        g = add_cross_edges(disjoint_union(complete_graph(10), Graph(4)),
+                            [(0, v) for v in range(10, 14)])
+        gpath = write_graph(tmp_path, g)
+        cpath = write_communities(tmp_path, CommunityLayout([range(10), range(10, 14)]))
+        rc = main(["check", gpath, "--communities", cpath, "--community", "0"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "community 1: community=no external=4 min-degree=9 required=5 " \
+               "failed=robustness\nrobust: no (not (4, 1)-excess robust)\n" in out
+        assert "first subset: 0 1 2 3\n" in out and "second subset: 4 5 6 7\n" in out
 
     def test_communities_must_cover_graph(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, complete_graph(4))
@@ -252,6 +265,18 @@ class TestRun:
         assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
         assert "bad integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("example", ["1", "3"])
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys, example):
+        rc = main(["run", "--example", example, "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+    def test_negative_document_seed_exit_code(self, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(INTRUDER_DOC.replace("seed 0", "seed -1"))
+        assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
     def test_invalid_rounds_override(self, capsys, tmp_path):
         rc = main(
             ["run", "--example", "1", "--rounds", "0", "--out", str(tmp_path)]
@@ -314,6 +339,11 @@ class TestScenarioCommand:
         assert main(["scenario", "--example", "3", "--seed", "7"]) == 0
         text = capsys.readouterr().out
         assert load_scenario(text) == example3(seed=7)
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["scenario", "--example", "3", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must be non-negative, got -1\n"
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "doc.txt"

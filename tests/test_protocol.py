@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commca import (
+    AdversaryStrategy,
     CommunityLayout,
     ConfigError,
     ConstantValue,
@@ -222,6 +223,21 @@ class TestRunMatchesStep:
             state = step(state, g, layout, cfg.alpha, adv)
             assert np.array_equal(trace.values[t + 1], np.array(state.values))
 
+    def test_bitwise_equality_with_script_longer_than_run(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            cfg = random_config(rng, rounds=8)
+            if not cfg.layout.malicious:
+                continue
+            adv = RoundScript(tuple(rng.uniform(-100.0, 100.0) for _ in range(20)))
+            trace = run(SimulationConfig(
+                cfg.graph, cfg.layout, cfg.initializer, adv, cfg.alpha, cfg.rounds, 0
+            ))
+            state = StateVector(cfg.initializer.values)
+            for t in range(cfg.rounds):
+                state = step(state, cfg.graph, cfg.layout, cfg.alpha, adv)
+                assert np.array_equal(trace.values[t + 1], np.array(state.values))
+
     def test_bitwise_equality_at_example_one_scale_with_table(self):
         # a seeded +-100 table on every malicious -> legitimate edge, over the
         # 158 agents and every degree group of example 1
@@ -422,6 +438,23 @@ class TestStrategies:
         assert adv.present(2, 1, 0) == -9.0
         assert adv.displayed(2, 0) == -9.0
         assert adv.overrides == {(2, 0): 1.0}
+
+    def test_strategies_that_behave_alike_compare_equal(self):
+        assert RoundScript((5.0,)) == ConstantValue(5.0) == PerNeighborTable({}, 5.0)
+        assert ConstantValue(5.0) != RoundScript((5.0, 5.5))
+        assert PerNeighborTable({(2, 0): 1.0}, 5.0) != ConstantValue(5.0)
+        assert hash(ConstantValue(1.0)) == hash(AdversaryStrategy((1.0,)))
+        assert hash(PerNeighborTable({(2, 0): 1.0}, 5.0)) == hash(ConstantValue(5.0))
+
+    def test_overrides_are_copied(self):
+        entries = {(2, 0): 1.0}
+        adv = PerNeighborTable(entries, 5.0)
+        entries[2, 0] = float("nan")
+        assert adv.overrides == {(2, 0): 1.0}
+
+    def test_overrides_need_a_single_value_script(self):
+        with pytest.raises(ValueError, match="single-value script"):
+            AdversaryStrategy((1.0, 2.0), {(2, 0): 1.0})
 
     @pytest.mark.parametrize(
         "make",

@@ -22,7 +22,7 @@ from commca import (
     reachable_set,
     verify_reachability_preservation,
 )
-from commca.robustness import _subset_table
+from commca.robustness import _subset_table, _translate_witness
 from commca.scenarios import example1
 
 from reference import (
@@ -376,6 +376,40 @@ class TestCommunityPredicate:
         assert check.certified_analytically
         assert check.external_degree == 0
         assert check.required_degree == 7 and check.min_degree == 19
+
+    def test_failing_complete_community_carries_a_witness(self):
+        # K_10 with four pendants on agent 0: (4, 1) fails on two 4-sets
+        g = add_cross_edges(disjoint_union(complete_graph(10), Graph(4)),
+                            [(0, v) for v in range(10, 14)])
+        check = is_community(g, range(10), malicious_count=0)
+        assert check.reasons == ("robustness",) and check.certified_analytically
+        w = check.witness
+        assert not w.robust and (w.r, w.s) == (4, 1)
+        assert w.pair == (frozenset(range(4)), frozenset(range(4, 8)))
+        ev = evaluate_pair(g.induced_subgraph(range(10)).graph, *w.pair, 4, 1)
+        assert not ev.satisfied and w.reports == (ev.first, ev.second)
+
+    def test_complete_community_witness_equals_engine_witness(self):
+        # r pendants ahead of K_n, hung on its first agent, shift the ids
+        # and set the external degree bound to r
+        negatives = 0
+        for n in range(2, 15):
+            for r in range(n + 1):
+                g = add_cross_edges(disjoint_union(Graph(r), complete_graph(n)),
+                                    [(v, r) for v in range(r)])
+                members = range(r, r + n)
+                sub, nodes = g.induced_subgraph(members)
+                for s in range(1, 4):
+                    check = is_community(g, members, malicious_count=s - 1)
+                    assert check.certified_analytically and check.external_degree == r
+                    engine = is_rs_excess_robust(sub, r, s, cap=None)
+                    assert check.robust == engine.robust
+                    if engine.robust:
+                        assert check.witness is None
+                    else:
+                        negatives += 1
+                        assert check.witness == _translate_witness(engine, nodes)
+        assert negatives == 255
 
     def test_singleton_member_set(self):
         g = add_cross_edges(disjoint_union(complete_graph(4), Graph(1)), [(0, 4)])

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commca import (
+    AdversaryStrategy,
     CommunityLayout,
     ConfigError,
     ConstantValue,
@@ -272,6 +274,35 @@ class TestDocumentRoundTrip:
         )
         assert load_scenario(format_scenario(cfg)) == cfg
 
+    def test_configs_hash(self):
+        assert hash(example1()) == hash(example1())
+
+    def test_single_value_script_is_written_as_a_constant(self):
+        cfg = replace(example3(), adversary=RoundScript((7.5,)))
+        assert "adversary\nconstant 7.5\n" in format_scenario(cfg)
+        assert load_scenario(format_scenario(cfg)) == cfg
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_every_adversary_round_trips(self, data):
+        # K_4 with agents 2 and 3 malicious: overrides may sit on any of
+        # their five edges; a multi-value script admits none
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        script = tuple(data.draw(st.lists(finite, min_size=1, max_size=5)))
+        edges = [(2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2)]
+        most = 6 if len(script) == 1 else 0
+        overrides = data.draw(st.dictionaries(st.sampled_from(edges), finite, max_size=most))
+        cfg = SimulationConfig(
+            complete_graph(4),
+            CommunityLayout([range(4)], malicious={2, 3}),
+            InitializerSpec((ExplicitValues((1.0, 2.0)),), 60.0),
+            AdversaryStrategy(script, overrides),
+            0.9,
+            10,
+            0,
+        )
+        assert load_scenario(format_scenario(cfg)) == cfg
+
     def test_empty_explicit_list_round_trips(self):
         g = Graph(2, [(0, 1)])
         layout = CommunityLayout([{0}, {1}], malicious={1})
@@ -468,11 +499,18 @@ class TestDocumentParsing:
                 "line 10: ids listed twice: [3]",
             ),
             (
+                MALICIOUS_DOC.replace("malicious\n3\n", "malicious\n3\n3\n"),
+                "line 11: ids listed twice: [3]",
+            ),
+            (
                 MALICIOUS_DOC.replace("constant 60.0", "constant 60.0\nmalicious: constant 5.0"),
                 "line 15: repeated malicious line",
             ),
         ],
-        ids=["external", "table entry", "community id", "malicious id", "malicious constant"],
+        ids=[
+            "external", "table entry", "community id", "malicious id",
+            "malicious id across lines", "malicious constant",
+        ],
     )
     def test_repeated_declarations_rejected(self, doc, message):
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):

@@ -3,9 +3,8 @@
 A community reaches agreement when the spread of its legitimate members'
 values stays below epsilon over the final window of rounds.  It is safe when
 every legitimate member's value stays, at every round, inside the community's
-initial value interval widened by tau.  The interval defaults to the
-legitimate members' initial min/max; hull="all" switches to the interval over
-all members, malicious included.
+initial value interval widened by tau; the interval is the legitimate
+members' initial min/max.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class RacVerdict:
     delta: float
     window: int
     tau: float
-    hull: str
 
     def outcome(self, community: int) -> CommunityOutcome:
         return self.outcomes[community]
@@ -93,7 +91,6 @@ def rac_verdict(
     delta: float = 1e-3,
     window: int = 50,
     tau: float = 1e-9,
-    hull: str = "legitimate",
 ) -> RacVerdict:
     """Classify every community of the trace for agreement and safety."""
     # every comparison with nan is false, so nan fails this test too
@@ -103,8 +100,6 @@ def rac_verdict(
         )
     if window < 1:
         raise ValueError("agreement window must be at least 1")
-    if hull not in ("legitimate", "all"):
-        raise ValueError(f"hull must be 'legitimate' or 'all', got {hull!r}")
     rows = trace.values
     if rows.shape[0] < window:
         raise ValueError(
@@ -124,7 +119,7 @@ def rac_verdict(
         finals = rows[-1, members]
         clusters = _clusters(members, finals, delta)
         limit = float(finals.mean()) if agreement else None
-        lo, hi = trace.initial_interval(i, legitimate_only=(hull == "legitimate"))
+        lo, hi = trace.initial_interval(i)
         block = rows[:, members]
         inside = (block >= lo - tau) & (block <= hi + tau)
         safety = bool(inside.all())
@@ -137,7 +132,7 @@ def rac_verdict(
         outcomes.append(
             CommunityOutcome(i, agreement, limit, safety, first_violation, clusters)
         )
-    return RacVerdict(tuple(outcomes), epsilon, delta, window, tau, hull)
+    return RacVerdict(tuple(outcomes), epsilon, delta, window, tau)
 
 
 def summary_lines(verdict: RacVerdict) -> list[str]:
@@ -161,7 +156,7 @@ def format_verdict(verdict: RacVerdict) -> str:
     lines = [
         "parameters: "
         f"epsilon={verdict.epsilon!r} delta={verdict.delta!r} "
-        f"window={verdict.window} tau={verdict.tau!r} hull={verdict.hull}"
+        f"window={verdict.window} tau={verdict.tau!r} hull=legitimate"
     ]
     for o in verdict.outcomes:
         lines.append(f"community {o.community + 1}")

@@ -42,9 +42,12 @@ def _resolve_cap(force: bool) -> int | None:
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ConfigError([f"COMMCA_CAP must be an integer, got {raw!r}"]) from None
+        cap = -1
+    if cap < 0:
+        raise ConfigError([f"COMMCA_CAP must be a non-negative integer, got {raw!r}"])
+    return cap
 
 
 def _build_config(args):
@@ -55,8 +58,6 @@ def _build_config(args):
         overrides["alpha"] = args.alpha
     if getattr(args, "rounds", None) is not None:
         overrides["rounds"] = args.rounds
-    if overrides.get("seed", 0) < 0:  # the example builders draw from it at once
-        raise ConfigError([f"seed must be non-negative, got {args.seed}"])
     if args.example is not None:
         return EXAMPLES[args.example](**overrides)
     text = Path(args.scenario).read_text()

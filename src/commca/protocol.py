@@ -12,20 +12,29 @@ synchronous: every round-t+1 value is computed from round-t values only.
 An adversary is a plain value: a per-round script that every malicious
 agent displays (holding its last entry) plus fixed per-neighbor overrides.
 Malicious agent v presents overrides.get((v, u), script[t]) to neighbor u, so
-run() tabulates the whole malicious schedule once and is one vectorized
-engine for every adversary; step() is the plain reference it must agree with
-exactly, which the tests check bitwise.
+run() tabulates the whole malicious schedule once.  Each of its rounds is the
+update rule alone: one sort of every legitimate agent's neighbor row, padded
+with infinities to one even width so every median sits in the same columns,
+plus one bit per agent for whether its median left its community's initial
+interval; isolation reports are read off those bits after the last round.
+step() is the plain reference run() must agree with exactly, which the tests
+check bitwise.  Initial and adversary values are bounded by MAX_MAGNITUDE,
+which keeps every round finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import robustness
 from .graph import CommunityLayout, Graph
+
+# Initial and adversary values may not exceed this magnitude, so that the sum
+# of two values (an even median, a verdict's mean) never overflows.
+MAX_MAGNITUDE = 1e300
 
 
 class ConfigError(ValueError):
@@ -49,10 +58,11 @@ def median(values: Iterable[float]) -> float:
     return (vals[mid - 1] + vals[mid]) / 2.0
 
 
-def _require_finite(what: str, values: Iterable[float]) -> None:
-    bad = [v for v in values if not math.isfinite(v)]
+def require_bounded(what: str, values: Iterable[float]) -> None:
+    """Raise unless every value is finite and at most MAX_MAGNITUDE in size."""
+    bad = [v for v in values if not abs(v) <= MAX_MAGNITUDE]
     if bad:
-        raise ValueError(f"{what} must be finite, got {bad[0]!r}")
+        raise ValueError(f"{what} must be finite and at most 1e300 in magnitude, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +87,7 @@ class AdversaryStrategy:
         # a copy, so that a caller editing its dict cannot change this value
         object.__setattr__(self, "overrides", dict(self.overrides))
         what = "table values" if self.overrides else "script values"
-        _require_finite(what, [*self.script, *self.overrides.values()])
+        require_bounded(what, [*self.script, *self.overrides.values()])
 
     def displayed(self, agent: int, t: int) -> float:
         """Value of `agent` at round t, recorded in the trace for t >= 1."""
@@ -240,19 +250,10 @@ class Trace:
     def final_values(self) -> np.ndarray:
         return self.values[-1]
 
-    def initial_interval(
-        self, community: int, legitimate_only: bool = True
-    ) -> tuple[float, float] | None:
-        """Min/max initial value over the community's members.
-
-        With legitimate_only the malicious members' initial values are
-        ignored; a community with no legitimate members then has no interval.
-        """
-        if legitimate_only:
-            return self.legitimate_intervals[community]
-        members = sorted(self.config.layout.subsets[community])
-        row = self.values[0, members]
-        return float(row.min()), float(row.max())
+    def initial_interval(self, community: int) -> tuple[float, float] | None:
+        """Min/max initial value over the community's legitimate members;
+        None when it has none."""
+        return self.legitimate_intervals[community]
 
     def _csv_chunks(self) -> Iterator[str]:
         # a repr per distinct bit pattern (-0.0 and 0.0 differ), a format per round
@@ -279,87 +280,81 @@ class Trace:
 def run(config: SimulationConfig) -> Trace:
     """Run the full simulation and collect the trace.
 
-    Equivalent to iterating step() from the initial values; vectorized over
-    agents grouped by degree, for every adversary strategy.  Medians of
-    legitimate members are checked against each community's initial
-    legitimate interval every round (isolation bookkeeping).
+    Equivalent to iterating step() from the initial values.  Each round is one
+    sort over every legitimate agent's padded neighbor row.  Whether each
+    median left its community's initial interval is kept as one bit, and the
+    isolation reports are read off those bits after the last round.
     """
     config.validate()
     g, layout = config.graph, config.layout
     n, T, alpha = g.n, config.rounds, config.alpha
 
-    x0 = np.array(
-        config.initializer.initial_values(g, layout, config.seed), dtype=np.float64
-    )
+    x0 = np.array(config.initializer.initial_values(g, layout, config.seed), dtype=np.float64)
     if x0.shape != (n,):
         raise ConfigError([f"initializer produced shape {x0.shape}, expected ({n},)"])
-    if not np.isfinite(x0).all():
-        bad = sorted(int(u) for u in np.flatnonzero(~np.isfinite(x0)))
-        raise ConfigError([f"non-finite initial values for agents {bad}"])
+    bad = np.flatnonzero(~(np.abs(x0) <= MAX_MAGNITUDE))  # nan fails the test too
+    if bad.size:
+        raise ConfigError([f"initial values not finite or beyond 1e300: agents {bad.tolist()}"])
 
+    legit_ids = sorted(layout.legitimate)
+    degrees = [g.degree(u) for u in legit_ids]
+    mid = max(((d + 1) // 2 for d in degrees), default=1)
+    # the trace, a bit per agent and round, the padded index and its two copies per round
+    if 8 * (T + 1) * n + len(legit_ids) * (T + 48 * mid) > robustness._physical_memory():
+        raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     # no adversary behaves like a script that no agent shows
     adversary = config.adversary or AdversaryStrategy((0.0,))
     mal_arr = np.array(sorted(layout.malicious), dtype=np.intp)
-    legit_ids = sorted(layout.legitimate)
     legit_arr = np.array(legit_ids, dtype=np.intp)
     # shown[t] is what every malicious agent displays at round t
     script = np.array(adversary.script, dtype=np.float64)
     shown = script[np.minimum(np.arange(T + 1), script.size - 1)]
     # p[:n] is what each agent presents by default; each fixed override gets
-    # a slot of its own after those, which the gather indices point at
+    # a slot of its own after those, and the last two slots hold the pads
     overrides = adversary.overrides
     slot = {key: n + k for k, key in enumerate(overrides)}
-    p = np.array([0.0] * n + list(overrides.values()), dtype=np.float64)
+    p = np.array([0.0] * n + list(overrides.values()) + [-np.inf, np.inf])
 
-    by_degree: dict[int, list[int]] = {}
-    for u in legit_ids:
-        by_degree.setdefault(g.degree(u), []).append(u)
-    groups = []
-    for d, agents in sorted(by_degree.items()):
-        ids_arr = np.array(agents, dtype=np.intp)
-        idx = [[slot.get((v, u), v) for v in g.neighbors(u)] for u in agents]
-        # the median is the mean of sorted columns lo and hi (equal when d is odd)
-        groups.append((ids_arr, np.array(idx, dtype=np.intp), (d - 1) // 2, d // 2))
-
-    c = len(layout)
-    comm_legit = [
-        np.array(sorted(layout.legitimate_in(i)), dtype=np.intp) for i in range(c)
-    ]
-    intervals: list[tuple[float, float] | None] = []
-    for arr in comm_legit:
-        if arr.size:
-            intervals.append((float(x0[arr].min()), float(x0[arr].max())))
-        else:
-            intervals.append(None)
-    watched = [(i, arr, *intervals[i]) for i, arr in enumerate(comm_legit) if arr.size]
-    iso_count = [0] * c
-    iso_first: list[tuple[int, int, float] | None] = [None] * c
+    # Every row has width 2 * mid: -inf pads on the left, +inf on the right
+    # and one more +inf for odd degree, so the median sits at column mid - 1
+    # (odd degree) or is the mean of columns mid - 1 and mid (even degree).
+    idx = np.array([
+        [-2] * (mid - (d + 1) // 2) + [slot.get((v, u), v) for v in g.neighbors(u)]
+        + [-1] * (mid + (d + 1) // 2 - d)
+        for u, d in zip(legit_ids, degrees)
+    ], dtype=np.intp).reshape(len(legit_ids), 2 * mid)
+    even = np.array(degrees, dtype=np.intp) % 2 == 0
 
     rows = np.empty((T + 1, n), dtype=np.float64)
     rows[0] = x0
     # legitimate and malicious agents together are all agents (validated)
     rows[1:, mal_arr] = shown[1:, None]
 
-    for t in range(T):
-        x, nxt = rows[t], rows[t + 1]
-        p[:n] = x
+    def medians(t: int) -> np.ndarray:  # of every legitimate agent at round t
+        p[:n] = rows[t]
         p[mal_arr] = shown[t]
-        # legitimate medians go straight into the next row, then get blended
-        for ids_arr, idx, lo, hi in groups:
-            block = np.sort(p[idx], axis=1)
-            nxt[ids_arr] = block[:, hi] if lo == hi else (block[:, lo] + block[:, hi]) / 2.0
+        block = np.sort(p[idx], axis=1)
+        return np.where(even, (block[:, mid - 1] + block[:, mid]) / 2.0, block[:, mid - 1])
 
-        for i, arr, low, high in watched:
-            m_i = nxt[arr]
-            bad = (m_i < low) | (m_i > high)
-            if bad.any():
-                iso_count[i] += int(bad.sum())
-                if iso_first[i] is None:
-                    j = int(np.argmax(bad))
-                    iso_first[i] = (t, int(arr[j]), float(m_i[j]))
-
-        nxt[legit_arr] = alpha * x[legit_arr] + (1.0 - alpha) * nxt[legit_arr]
-
+    members = [np.array(sorted(s - layout.malicious), dtype=np.intp) for s in layout.subsets]
+    intervals = [(float(x0[m].min()), float(x0[m].max())) if m.size else None for m in members]
+    # outside[t, k]: legit_ids[k]'s median at round t left its community's interval
+    low, high = np.array([intervals[layout.community_of(u)] for u in legit_ids]).reshape(-1, 2).T
+    outside = np.empty((T, len(legit_ids)), dtype=bool)
+    for t in range(T):
+        m = medians(t)
+        outside[t] = (m < low) | (m > high)
+        rows[t + 1, legit_arr] = alpha * rows[t, legit_arr] + (1.0 - alpha) * m
     rows.setflags(write=False)
-    reports = tuple(IsolationReport(i, iso_count[i], iso_first[i]) for i in range(c))
-    return Trace(rows, config, tuple(intervals), reports)
+
+    reports = []
+    for i, own in enumerate(members):
+        cols = np.searchsorted(legit_arr, own)
+        bad = outside[:, cols]
+        first = None
+        if bad.any():  # earliest round, then lowest id
+            t = int(np.argmax(bad.any(axis=1)))
+            j = int(np.argmax(bad[t]))
+            first = (t, int(own[j]), float(medians(t)[cols[j]]))
+        reports.append(IsolationReport(i, int(bad.sum()), first))
+    return Trace(rows, config, tuple(intervals), tuple(reports))

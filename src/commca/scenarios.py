@@ -60,6 +60,7 @@ from .protocol import (
     PerNeighborTable,
     RoundScript,
     SimulationConfig,
+    require_bounded,
 )
 from . import robustness
 
@@ -138,6 +139,11 @@ class InitializerSpec:
         return values
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:  # before any draw, in the words validation uses
+        raise ConfigError([f"seed must be non-negative, got {seed}"])
+
+
 def _certify(condition: bool, claim: str) -> None:
     if not condition:
         raise RuntimeError(f"builder self-certification failed: {claim}")
@@ -188,6 +194,7 @@ def example1(
     degree bound of exactly 2.  Legitimate values start at normal(2, 1) and
     normal(30, 5); malicious agents hold 60.
     """
+    _require_seed(seed)
     n1, n2, f1, f2 = 123, 35, 20, 10
     g, malicious = _two_cliques(n1, n2, f1, f2)
     legit = [u for u in range(g.n) if u not in malicious]
@@ -220,6 +227,7 @@ def example2(
     on either side.  One cross edge joins the first agents of the two
     communities.
     """
+    _require_seed(seed)
     n1, f1 = 16, 6
     five, four = EXAMPLE2_SPLIT
     edges = list(complete_graph(n1).edges)
@@ -260,6 +268,7 @@ def example3(
     among sixteen neighbors, enough to drag the whole community out of its
     initial interval.  Community 2 still passes the predicate.
     """
+    _require_seed(seed)
     n1, f1, f2 = 15, 6, 3
     g, malicious = _two_cliques(n1, 11, f1, f2)
     # carriers 0, 1, 2 of community 1 to malicious targets 23, 24, 25
@@ -337,8 +346,7 @@ def _parse_init_section(
         if len(tokens) != 2 or tokens[0] != "constant":
             raise FormatError(f"line {lineno}: expected 'malicious: constant <v>'")
         malicious_value = _parse_float(lineno, tokens[1])
-        if not math.isfinite(malicious_value):
-            raise FormatError(f"line {lineno}: malicious constant must be finite")
+        _build(lineno, require_bounded, "malicious constant", [malicious_value])
     entries: dict[int, NormalDraw | ExplicitValues] = {}
     for idx, (lineno, rest) in listed.items():
         if not (1 <= idx <= count):

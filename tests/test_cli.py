@@ -159,6 +159,13 @@ class TestCheckErrors:
         assert main(["check", path, "--rs", "0", "1"]) == 2
         assert "COMMCA_CAP" in capsys.readouterr().err
 
+    def test_negative_cap_value(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COMMCA_CAP", "-1")
+        path = write_graph(tmp_path, complete_graph(3))
+        assert main(["check", path, "--rs", "0", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: COMMCA_CAP must be a non-negative integer, got '-1'\n"
+
     def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
         def no_memory(masks, r):
             raise MemoryError
@@ -242,6 +249,30 @@ class TestRun:
         assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
         assert "error: line 24: script values must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_values_beyond_the_bound_exit_code(self, tmp_path, capsys):
+        # all legitimate; agents 2 and 5 would add two values of 1.7e308 for
+        # an even median and write inf, then nan
+        doc = tmp_path / "doc.txt"
+        doc.write_text(
+            "graph\nn 9\n0 2\n1 2\n2 7\n2 6\n3 5\n4 5\n5 8\n5 6\n"
+            "communities\ncommunity 1: 0 1 2 3 4 5 6 7 8\ninit\ncommunity 1: explicit "
+            "1.7e308 1.7e308 0.0 -1.7e308 -1.7e308 0.0 0.0 1.7e308 -1.7e308\n"
+            "protocol\nalpha 0.9\nrounds 60\nseed 0\n"
+        )
+        assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: initial values not finite or beyond 1e300: agents [0, 1, 3, 4, 7, 8]\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_trace_beyond_physical_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("commca.robustness._physical_memory", lambda: 1 << 20)
+        rc = main(["run", "--example", "3", "--rounds", "5000", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: out of memory: a 5000-round trace of 26 agents does not fit in memory\n"
+        )
 
     def test_stray_table_entry_exit_code(self, tmp_path, capsys):
         doc = tmp_path / "doc.txt"

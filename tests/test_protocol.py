@@ -1,5 +1,6 @@
 import random
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from commca import (
     complete_graph,
     example1,
     median,
+    rac_verdict,
     run,
     step,
 )
+from commca.protocol import MAX_MAGNITUDE
 
 from reference import random_connected_graph, reference_csv_text, reversed_order_step
 
@@ -196,6 +199,17 @@ class TestStep:
         assert (s1.values[0], s2.values[0], s3.values[0]) == (9.0, 11.0, 11.0)
 
 
+def assert_run_matches_step(cfg):
+    trace = run(cfg)
+    state = StateVector(tuple(trace.values[0]))
+    for t in range(cfg.rounds):
+        state = step(state, cfg.graph, cfg.layout, cfg.alpha, cfg.adversary)
+        assert np.array_equal(trace.values[t + 1], np.array(state.values)), (
+            f"round {t + 1} diverged"
+        )
+    return trace
+
+
 class TestRunMatchesStep:
     def test_bitwise_equality_on_random_configs(self):
         rng = random.Random(7)
@@ -262,6 +276,32 @@ class TestRunMatchesStep:
                 f"round {t + 1} diverged"
             )
 
+    def test_bitwise_equality_without_legitimate_agents(self):
+        layout = CommunityLayout([range(2), range(2, 4)], malicious=range(4))
+        cfg = SimulationConfig(
+            complete_graph(4), layout, PresetValues((1.0, 2.0, 3.0, 4.0)),
+            RoundScript((5.0, -5.0, 7.0)), 0.9, 6, 0,
+        )
+        trace = assert_run_matches_step(cfg)
+        assert [r.first for r in trace.isolation] == [None, None]
+        assert trace.legitimate_intervals == (None, None)
+
+    def test_bitwise_equality_across_degree_one_odd_even_and_overrides(self):
+        # legitimate degrees 5, 1, 2, 3, 2, 3, 4 (agents 0-6); malicious
+        # agent 7 overrides what it shows agents 3 and 6
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6), (3, 6),
+                      (3, 7), (4, 7), (5, 6), (5, 7), (6, 7)])
+        assert [g.degree(u) for u in range(7)] == [5, 1, 2, 3, 2, 3, 4]
+        layout = CommunityLayout([range(4), range(4, 8)], malicious={7})
+        adv = PerNeighborTable({(7, 3): 1e3, (7, 6): -1e3}, 42.0)
+        rng = random.Random(12)
+        for _ in range(5):
+            vals = tuple(rng.uniform(-50.0, 80.0) for _ in range(8))
+            alpha = rng.uniform(0.05, 0.95)
+            assert_run_matches_step(
+                SimulationConfig(g, layout, PresetValues(vals), adv, alpha, 25, 0)
+            )
+
 
 class TestRun:
     def test_row_count_and_initial_row(self):
@@ -285,6 +325,42 @@ class TestRun:
         trace = run(star_config())
         assert trace.value(0, 3) == 40.0
         assert trace.final_values().shape == (4,)
+
+    def test_trace_beyond_physical_memory_refused_up_front(self, monkeypatch):
+        # 6 rows of 4 float64 values, one flag per round and agent, and 4
+        # padded index rows of width 2 * mid = 4 (degrees 3, 1, 1, 1) held
+        # three times over in 8-byte slots
+        need = 6 * 4 * 8 + 5 * 4 + 3 * 4 * 4 * 8
+        monkeypatch.setattr("commca.robustness._physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError, match="5-round trace of 4 agents"):
+            run(star_config())
+        monkeypatch.setattr("commca.robustness._physical_memory", lambda: need)
+        assert run(star_config()).rounds == 5
+
+
+class TestMagnitudeBound:
+    def overflow_config(self, big):
+        # all legitimate; agents 2 and 5 each see three values of one sign
+        # and agent 6, so their even medians add two values of size `big`
+        g = Graph(9, [(0, 2), (1, 2), (2, 7), (2, 6), (3, 5), (4, 5), (5, 8), (5, 6)])
+        vals = (big, big, 0.0, -big, -big, 0.0, 0.0, big, -big)
+        return SimulationConfig(
+            g, CommunityLayout([range(9)]), PresetValues(vals), None, 0.9, 60, 0
+        )
+
+    def test_initial_values_beyond_the_bound_rejected(self):
+        with pytest.raises(ConfigError, match=r"beyond 1e300: agents \[0, 1, 3, 4, 7, 8\]"):
+            run(self.overflow_config(1.7e308))
+
+    def test_run_at_the_bound_stays_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = assert_run_matches_step(self.overflow_config(MAX_MAGNITUDE))
+            verdict = rac_verdict(trace)
+        assert np.isfinite(trace.values).all()
+        # agent 2's first median is (1e300 + 1e300) / 2
+        assert trace.values[1, 2] == 0.9 * 0.0 + (1.0 - 0.9) * MAX_MAGNITUDE
+        assert not verdict.all_pass
 
 
 class TestValidation:
@@ -410,10 +486,48 @@ class TestIsolationBookkeeping:
         trace = run(cfg)
         assert trace.isolation[0].ok
 
-    def test_initial_interval_flags(self):
+    def test_reports_match_medians_recomputed_from_the_trace(self):
+        # oracle: each round's legitimate medians from the stored rows and
+        # adversary.present, searched round by round, then in id order
+        rng = random.Random(14)
+        events = 0
+        for _ in range(60):
+            cfg = random_config(rng, rounds=15)
+            trace = run(cfg)
+            g, layout, adv = cfg.graph, cfg.layout, cfg.adversary
+            for i, report in enumerate(trace.isolation):
+                members = sorted(layout.legitimate_in(i))
+                count, first = 0, None
+                if members:
+                    start = [trace.values[0, u] for u in members]
+                    low, high = min(start), max(start)
+                    assert trace.initial_interval(i) == (low, high)
+                    for t in range(cfg.rounds):
+                        for u in members:
+                            m = median(
+                                adv.present(v, u, t) if layout.is_malicious(v)
+                                else trace.values[t, v]
+                                for v in g.neighbors(u)
+                            )
+                            if not low <= m <= high:
+                                count += 1
+                                first = first or (t, u, m)
+                assert (report.community, report.violations, report.first) == (i, count, first)
+                events += count
+        assert events > 100
+
+    def test_initial_interval_leaves_out_malicious_members(self):
+        # agent 3 starts at 60 inside community 0
         trace = run(self.single_intruder_config())
         assert trace.initial_interval(0) == (2.0, 2.0)
-        assert trace.initial_interval(0, legitimate_only=False) == (2.0, 60.0)
+
+
+MAKE_STRATEGY = [
+    lambda bad: ConstantValue(bad),
+    lambda bad: RoundScript((60.0, bad)),
+    lambda bad: PerNeighborTable({}, bad),
+    lambda bad: PerNeighborTable({(2, 0): 1.0, (2, 1): bad}, 0.0),
+]
 
 
 class TestStrategies:
@@ -456,22 +570,23 @@ class TestStrategies:
         with pytest.raises(ValueError, match="single-value script"):
             AdversaryStrategy((1.0, 2.0), {(2, 0): 1.0})
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda bad: ConstantValue(bad),
-            lambda bad: RoundScript((60.0, bad)),
-            lambda bad: PerNeighborTable({}, bad),
-            lambda bad: PerNeighborTable({(2, 0): 1.0, (2, 1): bad}, 0.0),
-        ],
-    )
+    @pytest.mark.parametrize("make", MAKE_STRATEGY)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_values_rejected(self, make, bad):
         with pytest.raises(ValueError, match="must be finite"):
             make(bad)
 
+    @pytest.mark.parametrize("make", MAKE_STRATEGY)
+    def test_values_beyond_the_bound_rejected(self, make):
+        for bad in (1.7976931348623157e308, -1e301, np.nextafter(MAX_MAGNITUDE, np.inf)):
+            with pytest.raises(ValueError, match="must be finite and at most 1e300"):
+                make(bad)
+        make(MAX_MAGNITUDE)
+        make(-MAX_MAGNITUDE)
 
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+# adversary values are bounded by MAX_MAGNITUDE; the bound itself is drawn often
+finite = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE, width=64)
 pairs = st.tuples(st.integers(0, 6), st.integers(0, 6))
 
 

@@ -27,6 +27,7 @@ from commca import (
     load_scenario,
     run,
 )
+from commca.protocol import MAX_MAGNITUDE
 from commca.scenarios import EXAMPLE2_SPLIT, EXAMPLES, example1, example2, example3
 
 BASE_DOC = """\
@@ -165,6 +166,12 @@ class TestExampleThree:
         assert EXAMPLES[3] is example3
 
 
+@pytest.mark.parametrize("build", [example1, example2, example3])
+def test_builders_refuse_a_negative_seed_before_drawing(build):
+    with pytest.raises(ConfigError, match=r"^seed must be non-negative, got -1$"):
+        build(seed=-1)
+
+
 class TestInitializerSpec:
     def test_same_seed_reproduces_values(self):
         cfg = example1()
@@ -287,7 +294,7 @@ class TestDocumentRoundTrip:
     def test_every_adversary_round_trips(self, data):
         # K_4 with agents 2 and 3 malicious: overrides may sit on any of
         # their five edges; a multi-value script admits none
-        finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        finite = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE, width=64)
         script = tuple(data.draw(st.lists(finite, min_size=1, max_size=5)))
         edges = [(2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2)]
         most = 6 if len(script) == 1 else 0
@@ -437,12 +444,20 @@ class TestDocumentParsing:
             "script inf",
             "table -inf",
             "table 1.0\n3 2 nan",
+            "constant 1e301",
+            "script 60.0 -1.7e308",
+            "table 1.0\n3 2 1e301",
         ],
     )
     def test_non_finite_adversary_values_rejected(self, section):
         doc = MALICIOUS_DOC + "adversary\n" + section + "\n"
         header = doc.splitlines().index(section.splitlines()[0]) + 1
         with pytest.raises(FormatError, match=rf"^line {header}: .* must be finite"):
+            load_scenario(doc)
+
+    def test_malicious_constant_beyond_the_bound_rejected(self):
+        doc = MALICIOUS_DOC.replace("constant 60.0", "constant -1e301")
+        with pytest.raises(FormatError, match="malicious constant must be finite and at most"):
             load_scenario(doc)
 
     def test_non_finite_malicious_constant_rejected(self):

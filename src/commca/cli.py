@@ -51,13 +51,8 @@ def _resolve_cap(force: bool) -> int | None:
 
 
 def _build_config(args):
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "alpha", None) is not None:
-        overrides["alpha"] = args.alpha
-    if getattr(args, "rounds", None) is not None:
-        overrides["rounds"] = args.rounds
+    overrides = {key: getattr(args, key) for key in ("seed", "alpha", "rounds")
+                 if getattr(args, key, None) is not None}
     if args.example is not None:
         return EXAMPLES[args.example](**overrides)
     text = Path(args.scenario).read_text()
@@ -74,13 +69,9 @@ def _cmd_check(args) -> int:
     modes = [m for m in (args.rs, args.r, args.community) if m is not None]
     if len(modes) != 1:
         raise ConfigError(["pass exactly one of --rs, --r, --community"])
-    if args.rs is not None:
-        r, s = args.rs
-        witness = is_rs_excess_robust(g, r, s, cap=cap)
-        sys.stdout.write(format_witness(witness))
-        return 0 if witness.robust else 1
-    if args.r is not None:
-        witness = is_r_excess_robust(g, args.r, cap=cap)
+    if args.rs is not None or args.r is not None:
+        witness = (is_rs_excess_robust(g, *args.rs, cap=cap) if args.rs is not None
+                   else is_r_excess_robust(g, args.r, cap=cap))
         sys.stdout.write(format_witness(witness))
         return 0 if witness.robust else 1
     if args.communities is None:
@@ -110,12 +101,7 @@ def _cmd_check(args) -> int:
 def _cmd_run(args) -> int:
     config = _build_config(args)
     trace = run(config)
-    verdict = rac_verdict(
-        trace,
-        epsilon=args.eps,
-        delta=args.delta,
-        window=args.window,
-    )
+    verdict = rac_verdict(trace, epsilon=args.eps, delta=args.delta, window=args.window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv")

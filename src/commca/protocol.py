@@ -13,10 +13,11 @@ An adversary is a plain value: a per-round script that every malicious
 agent displays (holding its last entry) plus fixed per-neighbor overrides.
 Malicious agent v presents overrides.get((v, u), script[t]) to neighbor u, so
 run() tabulates the whole malicious schedule once.  Each of its rounds is the
-update rule alone: one sort of every legitimate agent's neighbor row, padded
-with infinities to one even width so every median sits in the same columns,
-plus one bit per agent for whether its median left its community's initial
-interval; isolation reports are read off those bits after the last round.
+update rule alone: legitimate agents' neighbor rows are padded with
+infinities to the even power-of-two width of their class, so a class's
+medians sit in the same columns, and each class is sorted once.  A bool
+flag per agent says whether its median left its community's initial
+interval; isolation reports are read off those flags after the last round.
 step() is the plain reference run() must agree with exactly, which the tests
 check bitwise.  Initial and adversary values are bounded by MAX_MAGNITUDE,
 which keeps every round finite.
@@ -25,6 +26,7 @@ which keeps every round finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -280,10 +282,10 @@ class Trace:
 def run(config: SimulationConfig) -> Trace:
     """Run the full simulation and collect the trace.
 
-    Equivalent to iterating step() from the initial values.  Each round is one
-    sort over every legitimate agent's padded neighbor row.  Whether each
-    median left its community's initial interval is kept as one bit, and the
-    isolation reports are read off those bits after the last round.
+    Equivalent to iterating step() from the initial values.  Each round sorts
+    the padded neighbor rows of each width class once.  Whether each median
+    left its community's initial interval is kept as one byte (a bool flag),
+    and the isolation reports are read off those flags after the last round.
     """
     config.validate()
     g, layout = config.graph, config.layout
@@ -296,16 +298,17 @@ def run(config: SimulationConfig) -> Trace:
     if bad.size:
         raise ConfigError([f"initial values not finite or beyond 1e300: agents {bad.tolist()}"])
 
-    legit_ids = sorted(layout.legitimate)
-    degrees = [g.degree(u) for u in legit_ids]
-    mid = max(((d + 1) // 2 for d in degrees), default=1)
-    # the trace, a bit per agent and round, the padded index and its two copies per round
-    if 8 * (T + 1) * n + len(legit_ids) * (T + 48 * mid) > robustness._physical_memory():
+    # A legitimate agent's row is padded to the even width 2 * h of its class,
+    # h the least power of two with 2 * h >= its degree: under twice the degree
+    # plus one, and at most log2(max degree) + 1 classes, one sort each a round
+    half = {u: 1 << ((g.degree(u) + 1) // 2 - 1).bit_length() for u in layout.legitimate}
+    legit_arr = np.array(sorted(half, key=lambda u: (half[u], u)), dtype=np.intp)
+    # the trace, a bool flag per agent and round, the padded rows and two copies
+    if 8 * (T + 1) * n + legit_arr.size * T + 48 * sum(half.values()) > robustness._physical_memory():
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     # no adversary behaves like a script that no agent shows
     adversary = config.adversary or AdversaryStrategy((0.0,))
     mal_arr = np.array(sorted(layout.malicious), dtype=np.intp)
-    legit_arr = np.array(legit_ids, dtype=np.intp)
     # shown[t] is what every malicious agent displays at round t
     script = np.array(adversary.script, dtype=np.float64)
     shown = script[np.minimum(np.arange(T + 1), script.size - 1)]
@@ -315,41 +318,49 @@ def run(config: SimulationConfig) -> Trace:
     slot = {key: n + k for k, key in enumerate(overrides)}
     p = np.array([0.0] * n + list(overrides.values()) + [-np.inf, np.inf])
 
-    # Every row has width 2 * mid: -inf pads on the left, +inf on the right
-    # and one more +inf for odd degree, so the median sits at column mid - 1
-    # (odd degree) or is the mean of columns mid - 1 and mid (even degree).
-    idx = np.array([
-        [-2] * (mid - (d + 1) // 2) + [slot.get((v, u), v) for v in g.neighbors(u)]
-        + [-1] * (mid + (d + 1) // 2 - d)
-        for u, d in zip(legit_ids, degrees)
-    ], dtype=np.intp).reshape(len(legit_ids), 2 * mid)
-    even = np.array(degrees, dtype=np.intp) % 2 == 0
+    # -inf pads on the left, +inf on the right and one more +inf for odd
+    # degree put the median at column h - 1 (odd degree) or make it the mean
+    # of columns h - 1 and h (even degree); a class is a run of legit_arr
+    classes = []
+    for h, grp in groupby(legit_arr.tolist(), key=half.get):
+        us = list(grp)
+        idx = [[-2] * (h - (g.degree(u) + 1) // 2) + [slot.get((v, u), v) for v in g.neighbors(u)]
+               for u in us]
+        idx = np.array([r + [-1] * (2 * h - len(r)) for r in idx], dtype=np.intp)
+        classes.append((h, idx, np.array([g.degree(u) % 2 == 0 for u in us])))
 
     rows = np.empty((T + 1, n), dtype=np.float64)
     rows[0] = x0
     # legitimate and malicious agents together are all agents (validated)
     rows[1:, mal_arr] = shown[1:, None]
 
-    def medians(t: int) -> np.ndarray:  # of every legitimate agent at round t
+    def medians(t: int) -> np.ndarray:  # of legit_arr's agents at round t
         p[:n] = rows[t]
         p[mal_arr] = shown[t]
-        block = np.sort(p[idx], axis=1)
-        return np.where(even, (block[:, mid - 1] + block[:, mid]) / 2.0, block[:, mid - 1])
+        out = []
+        for h, idx, even in classes:
+            # a row two wide has its median in the same place unsorted
+            block = p[idx] if h == 1 else np.sort(p[idx], axis=1)
+            a = block[:, h - 1]
+            out.append(np.where(even, (a + block[:, h]) / 2.0, a) if even.any() else a)
+        return np.concatenate(out) if out else np.empty(0)
 
     members = [np.array(sorted(s - layout.malicious), dtype=np.intp) for s in layout.subsets]
     intervals = [(float(x0[m].min()), float(x0[m].max())) if m.size else None for m in members]
-    # outside[t, k]: legit_ids[k]'s median at round t left its community's interval
-    low, high = np.array([intervals[layout.community_of(u)] for u in legit_ids]).reshape(-1, 2).T
-    outside = np.empty((T, len(legit_ids)), dtype=bool)
+    # outside[t, k]: legit_arr[k]'s median at round t left its community's interval
+    low, high = np.array([intervals[layout.community_of(u)] for u in legit_arr]).reshape(-1, 2).T
+    outside = np.empty((T, legit_arr.size), dtype=bool)
     for t in range(T):
         m = medians(t)
         outside[t] = (m < low) | (m > high)
         rows[t + 1, legit_arr] = alpha * rows[t, legit_arr] + (1.0 - alpha) * m
     rows.setflags(write=False)
 
+    col = np.empty(n, dtype=np.intp)  # col[u]: u's column in outside
+    col[legit_arr] = np.arange(legit_arr.size)
     reports = []
     for i, own in enumerate(members):
-        cols = np.searchsorted(legit_arr, own)
+        cols = col[own]
         bad = outside[:, cols]
         first = None
         if bad.any():  # earliest round, then lowest id

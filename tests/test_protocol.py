@@ -210,6 +210,35 @@ def assert_run_matches_step(cfg):
     return trace
 
 
+def assert_reports_match_medians(trace):
+    """Oracle: each round's legitimate medians from the stored rows and
+    adversary.present, searched round by round, then in id order; returns
+    the number of isolation events."""
+    cfg = trace.config
+    g, layout, adv = cfg.graph, cfg.layout, cfg.adversary
+    events = 0
+    for i, report in enumerate(trace.isolation):
+        members = sorted(layout.legitimate_in(i))
+        count, first = 0, None
+        if members:
+            start = [trace.values[0, u] for u in members]
+            low, high = min(start), max(start)
+            assert trace.initial_interval(i) == (low, high)
+            for t in range(cfg.rounds):
+                for u in members:
+                    m = median(
+                        adv.present(v, u, t) if layout.is_malicious(v)
+                        else trace.values[t, v]
+                        for v in g.neighbors(u)
+                    )
+                    if not low <= m <= high:
+                        count += 1
+                        first = first or (t, u, m)
+        assert (report.community, report.violations, report.first) == (i, count, first)
+        events += count
+    return events
+
+
 class TestRunMatchesStep:
     def test_bitwise_equality_on_random_configs(self):
         rng = random.Random(7)
@@ -303,6 +332,28 @@ class TestRunMatchesStep:
             )
 
 
+    def test_bitwise_equality_on_stars_across_width_classes(self):
+        # hubs 0 and 1 (degrees 41 and 18) share 8 leaves of degree 2; the
+        # other leaves have degree 1, and malicious leaf 49 overrides what it
+        # shows hub 1.  The hubs sit in the low-valued community, mostly
+        # among high-valued neighbors, so isolation events are many.
+        edges = [(0, 1)] + [(0, v) for v in range(2, 42)] + [(1, v) for v in range(34, 51)]
+        g = Graph(51, edges)
+        assert sorted({g.degree(u) for u in range(51)}) == [1, 2, 18, 41]
+        layout = CommunityLayout([range(20), range(20, 51)], malicious={49})
+        adv = PerNeighborTable({(49, 1): -1e3}, 75.0)
+        rng = random.Random(21)
+        events = 0
+        for _ in range(3):
+            vals = tuple(rng.uniform(0.0, 10.0) if u < 20 else rng.uniform(50.0, 80.0)
+                         for u in range(51))
+            trace = assert_run_matches_step(
+                SimulationConfig(g, layout, PresetValues(vals), adv, rng.uniform(0.05, 0.95), 30, 0)
+            )
+            events += assert_reports_match_medians(trace)
+        assert events > 100
+
+
 class TestRun:
     def test_row_count_and_initial_row(self):
         cfg = star_config()
@@ -327,15 +378,28 @@ class TestRun:
         assert trace.final_values().shape == (4,)
 
     def test_trace_beyond_physical_memory_refused_up_front(self, monkeypatch):
-        # 6 rows of 4 float64 values, one flag per round and agent, and 4
-        # padded index rows of width 2 * mid = 4 (degrees 3, 1, 1, 1) held
-        # three times over in 8-byte slots
-        need = 6 * 4 * 8 + 5 * 4 + 3 * 4 * 4 * 8
+        # 6 rows of 4 float64 values, one flag per round and agent, and padded
+        # index rows of widths 4, 2, 2, 2 (degrees 3, 1, 1, 1) held three
+        # times over in 8-byte slots
+        need = 6 * 4 * 8 + 5 * 4 + 3 * (4 + 2 + 2 + 2) * 8
         monkeypatch.setattr("commca.robustness._physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match="5-round trace of 4 agents"):
             run(star_config())
         monkeypatch.setattr("commca.robustness._physical_memory", lambda: need)
         assert run(star_config()).rounds == 5
+
+    def test_memory_guard_counts_each_row_at_its_own_width(self, monkeypatch):
+        # a 1000-leaf star: the hub's row is 1024 wide and every leaf's 2, so
+        # the padded rows take 3024 slots, not 1001 rows of the hub's width
+        g = Graph(1001, [(0, v) for v in range(1, 1001)])
+        cfg = SimulationConfig(g, CommunityLayout([range(1001)]),
+                               PresetValues(tuple(float(u % 7) for u in range(1001))), None, 0.5, 5, 0)
+        need = 6 * 1001 * 8 + 5 * 1001 + 3 * (1024 + 1000 * 2) * 8
+        monkeypatch.setattr("commca.robustness._physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError):
+            run(cfg)
+        monkeypatch.setattr("commca.robustness._physical_memory", lambda: need)
+        assert run(cfg).rounds == 5
 
 
 class TestMagnitudeBound:
@@ -487,33 +551,9 @@ class TestIsolationBookkeeping:
         assert trace.isolation[0].ok
 
     def test_reports_match_medians_recomputed_from_the_trace(self):
-        # oracle: each round's legitimate medians from the stored rows and
-        # adversary.present, searched round by round, then in id order
         rng = random.Random(14)
-        events = 0
-        for _ in range(60):
-            cfg = random_config(rng, rounds=15)
-            trace = run(cfg)
-            g, layout, adv = cfg.graph, cfg.layout, cfg.adversary
-            for i, report in enumerate(trace.isolation):
-                members = sorted(layout.legitimate_in(i))
-                count, first = 0, None
-                if members:
-                    start = [trace.values[0, u] for u in members]
-                    low, high = min(start), max(start)
-                    assert trace.initial_interval(i) == (low, high)
-                    for t in range(cfg.rounds):
-                        for u in members:
-                            m = median(
-                                adv.present(v, u, t) if layout.is_malicious(v)
-                                else trace.values[t, v]
-                                for v in g.neighbors(u)
-                            )
-                            if not low <= m <= high:
-                                count += 1
-                                first = first or (t, u, m)
-                assert (report.community, report.violations, report.first) == (i, count, first)
-                events += count
+        events = sum(assert_reports_match_medians(run(random_config(rng, rounds=15)))
+                     for _ in range(60))
         assert events > 100
 
     def test_initial_interval_leaves_out_malicious_members(self):

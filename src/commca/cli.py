@@ -53,13 +53,11 @@ def _resolve_cap(force: bool) -> int | None:
 def _build_config(args):
     overrides = {key: getattr(args, key) for key in ("seed", "alpha", "rounds")
                  if getattr(args, key, None) is not None}
-    if args.example is not None:
-        return EXAMPLES[args.example](**overrides)
-    text = Path(args.scenario).read_text()
-    config = load_scenario(text)
-    if overrides:
-        config = replace(config, **overrides)
-        config.validate()
+    if args.example is not None:  # the seed also shapes an example's graph
+        config = EXAMPLES[args.example](**overrides)
+    else:
+        config = replace(load_scenario(Path(args.scenario).read_text()), **overrides)
+    config.validate()
     return config
 
 
@@ -92,7 +90,7 @@ def _cmd_check(args) -> int:
         if check.reasons:
             line += " failed=" + ",".join(check.reasons)
         print(line)
-        if check.witness is not None and not check.witness.robust:
+        if check.witness is not None:
             sys.stdout.write(format_witness(check.witness))
         all_ok = all_ok and check.is_community
     return 0 if all_ok else 1

@@ -31,7 +31,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import robustness
+from . import graph
 from .graph import CommunityLayout, Graph
 
 # Initial and adversary values may not exceed this magnitude, so that the sum
@@ -304,7 +304,7 @@ def run(config: SimulationConfig) -> Trace:
     half = {u: 1 << ((g.degree(u) + 1) // 2 - 1).bit_length() for u in layout.legitimate}
     legit_arr = np.array(sorted(half, key=lambda u: (half[u], u)), dtype=np.intp)
     # the trace, a bool flag per agent and round, the padded rows and two copies
-    if 8 * (T + 1) * n + legit_arr.size * T + 48 * sum(half.values()) > robustness._physical_memory():
+    if 8 * (T + 1) * n + legit_arr.size * T + 48 * sum(half.values()) > graph.physical_memory():
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     # no adversary behaves like a script that no agent shows
     adversary = config.adversary or AdversaryStrategy((0.0,))

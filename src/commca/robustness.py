@@ -19,9 +19,9 @@ Xeon, a G(n, 0.85) graph takes 0.03 s and 8 MiB of arrays at n = 20, and
 0.2 s and 48 MiB at n = 22.  A graph whose tables would exceed physical
 memory is refused with MemoryError before any is allocated.  Checks are
 capped by default at n = 22 agents (cap=None here, COMMCA_CAP or --force on
-the command line, change it) except for complete graphs, where a closed form
-decides the predicate at any size.
-Negative verdicts carry a machine-checkable witness pair.
+the command line, change it).  The community predicate first tries a
+minimum-degree bound that decides many communities at any size (see
+is_community).  Negative verdicts carry a machine-checkable witness pair.
 
 Reachability preservation (Proposition 1) follows from one line of algebra,
 so it is certified in closed form at any community size and needs no cap.
@@ -29,12 +29,12 @@ so it is certified in closed form at any community size and needs no cap.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import graph
 from .graph import Graph
 
 DEFAULT_ENUMERATION_CAP = 22
@@ -99,16 +99,22 @@ class PairEvaluation:
 class RobustnessWitness:
     """Outcome of a robustness check.
 
-    When robust is False, pair and reports describe one violating disjoint
-    subset pair; re-evaluating the clauses on that pair reproduces the
-    violation.  s is None for the plain r-excess robust predicate.
+    When robust is False, reports describe one violating disjoint subset
+    pair; re-evaluating the clauses on that pair reproduces the violation.
+    s is None for the plain r-excess robust predicate.
     """
 
     robust: bool
     r: int
     s: int | None
-    pair: tuple[frozenset[int], frozenset[int]] | None = None
     reports: tuple[ReachabilityReport, ReachabilityReport] | None = None
+
+    @property
+    def pair(self) -> tuple[frozenset[int], frozenset[int]] | None:
+        """The violating pair's subsets, or None for a robust verdict."""
+        if self.robust:
+            return None
+        return self.reports[0].subset, self.reports[1].subset
 
 
 @dataclass(frozen=True, eq=True)
@@ -119,7 +125,9 @@ class CommunityCheck:
     number of edges a member has to the outside) qualifies when its induced
     subgraph is (k, f+1)-excess robust and its induced minimum degree is at
     least 2f + k + 1.  reasons lists the failed clauses, drawn from
-    {"robustness", "degree"}.
+    {"robustness", "degree"}.  witness is the violating pair when the
+    robustness clause fails, else None; certified_analytically marks a
+    clause decided without the engine.
     """
 
     members: frozenset[int]
@@ -187,18 +195,11 @@ def evaluate_pair(
     return PairEvaluation(reachable_set(g, a, r), reachable_set(g, b, r), s)
 
 
-def _physical_memory() -> int:
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # unknown: the 64-bit address space
-        return 1 << 64
-
-
 def _all_subsets(n: int) -> np.ndarray:
     dtype = np.min_scalar_type((1 << n) - 1)
     # The indices, a temporary as wide, and about six one-byte tables are alive
     # at once; refuse before allocating any of them when RAM cannot hold them.
-    if (1 << n) * (2 * dtype.itemsize + 6) > _physical_memory():
+    if (1 << n) * (2 * dtype.itemsize + 6) > graph.physical_memory():
         raise MemoryError
     return np.arange(1 << n, dtype=dtype)
 
@@ -276,8 +277,7 @@ def _violation(
     g: Graph, a: Iterable[int], b: Iterable[int], r: int, s: int, label: int | None
 ) -> RobustnessWitness:
     ev = evaluate_pair(g, a, b, r, s)
-    pair = (ev.first.subset, ev.second.subset)
-    return RobustnessWitness(False, r, label, pair, (ev.first, ev.second))
+    return RobustnessWitness(False, r, label, (ev.first, ev.second))
 
 
 def is_rs_excess_robust(
@@ -304,12 +304,11 @@ def is_r_excess_robust(
 def complete_rs_certificate(n: int, r: int, s: int) -> bool:
     """Closed-form (r, s)-excess robustness verdict for the complete graph K_n.
 
-    Every member of a k-subset of K_n has excess n - 2k + 1, so a subset's
-    reachable set is either all of it or empty.  A pair therefore fails only
-    when both subsets are entirely below the threshold, which requires two
-    disjoint subsets of size k_min, the smallest k with n - 2k + 1 < r.  The
-    verdict is consequently independent of s (any failing pair has a
-    reachable count of zero, and s >= 1).
+    This is is_community's minimum-degree bound at delta = n - 1: K_n is
+    robust iff 2k > n, k = max(1, floor((n - 1 - r) / 2) + 2).  Members of a
+    k-subset of K_n have excess n - 2k + 1, and k is the least size where that
+    falls below r, so two disjoint k-subsets fail whatever s is (their
+    reachable count is zero), and no pair fails when they do not fit.
     """
     if n < 2:
         raise ValueError("the certificate applies to complete graphs on n >= 2 agents")
@@ -317,12 +316,12 @@ def complete_rs_certificate(n: int, r: int, s: int) -> bool:
         raise ValueError("r must be non-negative")
     if s < 1:
         raise ValueError("s must be at least 1")
-    return 2 * _complete_k_min(n, r) > n
+    return 2 * _least_non_full_size(n - 1, r) > n
 
 
-def _complete_k_min(n: int, r: int) -> int:
-    # the smallest k whose k-subsets of K_n have excess n - 2k + 1 below r
-    return max(1, (n + 1 - r) // 2 + 1)
+def _least_non_full_size(min_degree: int, r: int) -> int:
+    # a member u of a non-full S has more than (deg(u) - r) / 2 neighbors in S
+    return max(1, (min_degree - r) // 2 + 2)
 
 
 def is_community(
@@ -333,11 +332,14 @@ def is_community(
 ) -> CommunityCheck:
     """Community predicate: induced robustness plus the induced degree bound.
 
-    The robustness clause runs on the induced subgraph at threshold equal to
-    the member set's external degree bound, with required count
-    malicious_count + 1.  When the induced subgraph is complete the closed
-    form replaces enumeration, so large complete communities stay checkable;
-    a failing one gets the pair the closed form's proof names as witness.
+    The robustness clause runs on the induced subgraph at threshold r equal
+    to the member set's external degree bound, with required count
+    malicious_count + 1.  A member u of a non-full subset S has excess
+    deg(u) - 2 in_S(u) < r, so |S| >= k = max(1, floor((delta - r) / 2) + 2)
+    for induced minimum degree delta.  When 2k > |V| no two disjoint non-full
+    subsets fit and the clause holds at any size.  Otherwise a complete
+    induced subgraph fails on its first two k-sets, at any size, and any other
+    goes to the engine under the cap.  witness is in original ids.
     """
     if malicious_count < 0:
         raise ValueError("malicious count must be non-negative")
@@ -345,24 +347,16 @@ def is_community(
     sub, nodes = g.induced_subgraph(members)
     dmin = sub.min_degree()
     required = 2 * malicious_count + ext + 1
-    witness: RobustnessWitness | None = None
-    analytic = False
-    if sub.n == 1:
-        robust = True
-    elif sub.is_complete():
-        robust = complete_rs_certificate(sub.n, ext, malicious_count + 1)
-        analytic = True
-        if not robust:  # the certificate's proof: two disjoint k_min-sets fail
-            k = _complete_k_min(sub.n, ext)
-            witness = _violation(sub, range(k), range(k, 2 * k), ext,
-                                 malicious_count + 1, malicious_count + 1)
-            witness = _translate_witness(witness, nodes)
-    else:
-        witness = is_rs_excess_robust(sub, ext, malicious_count + 1, cap=cap)
-        witness = _translate_witness(witness, nodes)
-        robust = witness.robust
+    s = malicious_count + 1
+    k = _least_non_full_size(dmin, ext)
+    analytic = 2 * k > sub.n or sub.is_complete()
+    witness = None
+    if 2 * k <= sub.n:  # in a complete graph every k-set is non-full, none reachable
+        found = (_violation(sub, range(k), range(k, 2 * k), ext, s, s) if analytic
+                 else is_rs_excess_robust(sub, ext, s, cap=cap))
+        witness = None if found.robust else _translate_witness(found, nodes)
     reasons = []
-    if not robust:
+    if witness is not None:
         reasons.append("robustness")
     if dmin < required:
         reasons.append("degree")
@@ -370,7 +364,7 @@ def is_community(
         members=frozenset(nodes),
         malicious_count=malicious_count,
         external_degree=ext,
-        robust=robust,
+        robust=witness is None,
         min_degree=dmin,
         required_degree=required,
         reasons=tuple(reasons),
@@ -381,22 +375,14 @@ def is_community(
 
 def _translate_witness(w: RobustnessWitness, nodes: tuple[int, ...]) -> RobustnessWitness:
     # Witnesses found on an induced subgraph are reported in original ids.
-    if w.pair is None:
-        return w
     def back(ids: frozenset[int]) -> frozenset[int]:
         return frozenset(nodes[i] for i in ids)
     reports = tuple(
-        ReachabilityReport(
-            subset=back(rep.subset),
-            threshold=rep.threshold,
-            reachable=back(rep.reachable),
-            excess_by_agent={nodes[u]: e for u, e in rep.excess_by_agent.items()},
-        )
+        ReachabilityReport(back(rep.subset), rep.threshold, back(rep.reachable),
+                           {nodes[u]: e for u, e in rep.excess_by_agent.items()})
         for rep in w.reports
     )
-    return RobustnessWitness(
-        w.robust, w.r, w.s, (back(w.pair[0]), back(w.pair[1])), reports
-    )
+    return RobustnessWitness(w.robust, w.r, w.s, reports)
 
 
 def verify_reachability_preservation(

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from commca import (
@@ -125,6 +130,17 @@ class TestCheckCommunities:
                "failed=robustness\nrobust: no (not (4, 1)-excess robust)\n" in out
         assert "first subset: 0 1 2 3\n" in out and "second subset: 4 5 6 7\n" in out
 
+    def test_bound_decides_community_beyond_the_cap(self, tmp_path, capsys, monkeypatch):
+        # K_40 minus a perfect matching: the minimum-degree bound, not the engine
+        monkeypatch.delenv("COMMCA_CAP", raising=False)
+        g = Graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40)
+                       if u // 2 != v // 2])
+        gpath = write_graph(tmp_path, g)
+        cpath = write_communities(tmp_path, CommunityLayout([range(40)]))
+        assert main(["check", gpath, "--communities", cpath, "--community", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "community 1: community=yes external=0 min-degree=38 required=7\n")
+
     def test_communities_must_cover_graph(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, complete_graph(4))
         cpath = write_communities(tmp_path, CommunityLayout([{0, 1}]))
@@ -181,13 +197,24 @@ class TestCheckErrors:
         self, tmp_path, capsys, monkeypatch
     ):
         # 9 agents need 512 * (2 * 2 + 6) bytes by the estimate, 8 agents 2048
-        monkeypatch.setattr("commca.robustness._physical_memory", lambda: 4096)
+        monkeypatch.setattr("commca.graph.physical_memory", lambda: 4096)
         path = write_graph(tmp_path, Graph(9, [(i, i + 1) for i in range(8)]))
         assert main(["check", path, "--rs", "0", "1", "--force"]) == 3
         err = capsys.readouterr().err
         assert err == "error: out of memory: cannot tabulate all 512 subsets of 9 agents\n"
         path = write_graph(tmp_path, Graph(8, [(i, i + 1) for i in range(7)]))
         assert main(["check", path, "--rs", "0", "1", "--force"]) == 0
+
+    def test_agent_count_beyond_physical_memory_refused_up_front(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # small enough that parsing it costs little should the guard be missing
+        monkeypatch.setattr("commca.graph.physical_memory", lambda: 10**6)
+        path = tmp_path / "huge.txt"
+        path.write_text("n 20000\n")
+        assert main(["check", str(path), "--r", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: out of memory: 20000 agents")
 
     def test_subset_table_beyond_address_space(self, tmp_path, capsys):
         path = write_graph(tmp_path, Graph(64, [(i, i + 1) for i in range(63)]))
@@ -267,7 +294,7 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     def test_trace_beyond_physical_memory_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("commca.robustness._physical_memory", lambda: 1 << 20)
+        monkeypatch.setattr("commca.graph.physical_memory", lambda: 1 << 20)
         rc = main(["run", "--example", "3", "--rounds", "5000", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert capsys.readouterr().err == (
@@ -360,6 +387,23 @@ class TestRun:
         assert not (out / "verdict.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "--example", "3", "--rounds", "0"],
+        ["scenario", "--example", "3", "--alpha", "1.5"],
+        ["scenario", "--example", "1", "--alpha", "nan"],
+        ["verify-prop1", "--example", "2", "--alpha", "1.5"],
+        ["verify-prop1", "--example", "2", "--rounds", "0"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_config_exits_2_before_any_output(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 class TestScenarioCommand:
     def test_stdout_document_reproduces_example(self, capsys):
         assert main(["scenario", "--example", "3"]) == 0
@@ -439,3 +483,39 @@ class TestVerifyProp1:
         assert "not a community" in out
         assert "isolation violated" in out
         assert "[community predicate not met; informational]" in out
+
+
+class TestProcessExitCodes:
+    """`python -m commca` as a separate process, one case per exit code."""
+
+    @staticmethod
+    def commca(*args):
+        env = dict(os.environ)
+        env.pop("COMMCA_CAP", None)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "commca", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_passing_check_exits_0(self, tmp_path):
+        done = self.commca("check", write_graph(tmp_path, complete_graph(3)), "--r", "0")
+        assert done.returncode == 0 and done.stdout == "robust: yes (0-excess robust)\n"
+
+    def test_failing_check_exits_1_with_a_witness(self, tmp_path):
+        g = disjoint_union(complete_graph(3), complete_graph(3))
+        done = self.commca("check", write_graph(tmp_path, g), "--r", "0")
+        assert done.returncode == 1
+        assert "first subset: " in done.stdout and "second subset: " in done.stdout
+
+    def test_usage_error_exits_2(self):
+        done = self.commca("check", "--r", "0")
+        assert done.returncode == 2 and "usage:" in done.stderr
+
+    def test_missing_file_exits_2(self, tmp_path):
+        done = self.commca("check", str(tmp_path / "nope.txt"), "--r", "0")
+        assert done.returncode == 2 and done.stderr.startswith("error: ")
+
+    def test_path_beyond_the_default_cap_exits_3(self, tmp_path):
+        path = write_graph(tmp_path, Graph(23, [(i, i + 1) for i in range(22)]))
+        done = self.commca("check", path, "--r", "0")
+        assert done.returncode == 3 and "exceeds the cap of 22" in done.stderr

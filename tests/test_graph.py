@@ -247,6 +247,13 @@ class TestGraphFiles:
         with pytest.raises(FormatError):
             parse_graph("0 1\n")
 
+    def test_agent_count_beyond_physical_memory_refused(self, monkeypatch):
+        # 80 bytes a declared agent: 12500 agents fit in 10^6 bytes, 12501 do not
+        monkeypatch.setattr("commca.graph.physical_memory", lambda: 10**6)
+        assert parse_graph("n 12500\n").n == 12500
+        with pytest.raises(MemoryError, match="12501 agents"):
+            parse_graph("n 12501\n")
+
     def test_bad_edge_token(self):
         with pytest.raises(FormatError, match="line 2"):
             parse_graph("n 3\n0 x\n")

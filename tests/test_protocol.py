@@ -382,10 +382,10 @@ class TestRun:
         # index rows of widths 4, 2, 2, 2 (degrees 3, 1, 1, 1) held three
         # times over in 8-byte slots
         need = 6 * 4 * 8 + 5 * 4 + 3 * (4 + 2 + 2 + 2) * 8
-        monkeypatch.setattr("commca.robustness._physical_memory", lambda: need - 1)
+        monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match="5-round trace of 4 agents"):
             run(star_config())
-        monkeypatch.setattr("commca.robustness._physical_memory", lambda: need)
+        monkeypatch.setattr("commca.graph.physical_memory", lambda: need)
         assert run(star_config()).rounds == 5
 
     def test_memory_guard_counts_each_row_at_its_own_width(self, monkeypatch):
@@ -395,10 +395,10 @@ class TestRun:
         cfg = SimulationConfig(g, CommunityLayout([range(1001)]),
                                PresetValues(tuple(float(u % 7) for u in range(1001))), None, 0.5, 5, 0)
         need = 6 * 1001 * 8 + 5 * 1001 + 3 * (1024 + 1000 * 2) * 8
-        monkeypatch.setattr("commca.robustness._physical_memory", lambda: need - 1)
+        monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
             run(cfg)
-        monkeypatch.setattr("commca.robustness._physical_memory", lambda: need)
+        monkeypatch.setattr("commca.graph.physical_memory", lambda: need)
         assert run(cfg).rounds == 5
 
 

@@ -51,6 +51,12 @@ def two_triangles():
     return disjoint_union(complete_graph(3), complete_graph(3))
 
 
+def complete_minus_matching(n):
+    """K_n without the perfect matching {0, 1}, {2, 3}, ...: minimum degree n - 2."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if u // 2 != v // 2])
+
+
 def split_community_graph():
     """Nine agents: a 5-clique and a 4-clique joined through agent 4 only."""
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
@@ -410,6 +416,34 @@ class TestCommunityPredicate:
                         negatives += 1
                         assert check.witness == _translate_witness(engine, nodes)
         assert negatives == 255
+
+    def test_bound_decides_large_incomplete_community(self):
+        # delta = 38 gives k = 21, and two disjoint 21-sets do not fit in 40 agents
+        g = complete_minus_matching(40)
+        check = is_community(g, range(40), malicious_count=3)
+        assert check.is_community and check.certified_analytically
+        assert check.witness is None
+        assert check.min_degree == 38 and check.required_degree == 7
+
+    @settings(deadline=None)
+    @given(graphs(12), st.data())
+    def test_property_matches_engine_only_decision(self, g, data):
+        if g.n == 0:
+            return
+        members = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        f = data.draw(st.integers(0, 3))
+        check = is_community(g, members, f)
+        ext = g.max_external_degree(members)
+        sub, nodes = g.induced_subgraph(members)
+        engine = is_rs_excess_robust(sub, ext, f + 1, cap=None)
+        want_witness = None if engine.robust else _translate_witness(engine, nodes)
+        want_reasons = (("robustness",) if not engine.robust else ()) + (
+            ("degree",) if sub.min_degree() < 2 * f + ext + 1 else ())
+        assert check.robust == engine.robust
+        assert check.reasons == want_reasons
+        assert check.witness == want_witness
+        k = max(1, (sub.min_degree() - ext) // 2 + 2)
+        assert check.certified_analytically == (2 * k > sub.n or sub.is_complete())
 
     def test_singleton_member_set(self):
         g = add_cross_edges(disjoint_union(complete_graph(4), Graph(1)), [(0, 4)])

@@ -32,7 +32,7 @@ from .robustness import (
     is_rs_excess_robust,
     verify_reachability_preservation,
 )
-from .scenarios import EXAMPLES, format_scenario, load_scenario
+from .scenarios import EXAMPLES, format_scenario, read_scenario
 
 
 def _resolve_cap(force: bool) -> int | None:
@@ -51,13 +51,16 @@ def _resolve_cap(force: bool) -> int | None:
 
 
 def _build_config(args):
+    """The config a command works on, not yet validated: run() validates the
+    config it runs, and a command that does not run it validates it itself."""
     overrides = {key: getattr(args, key) for key in ("seed", "alpha", "rounds")
                  if getattr(args, key, None) is not None}
     if args.example is not None:  # the seed also shapes an example's graph
-        config = EXAMPLES[args.example](**overrides)
-    else:
-        config = replace(load_scenario(Path(args.scenario).read_text()), **overrides)
-    config.validate()
+        return EXAMPLES[args.example](**overrides)
+    config, problems = read_scenario(Path(args.scenario).read_text())
+    config = replace(config, **overrides)
+    if problems:  # reported together with the config's own, as load_scenario does
+        raise ConfigError(problems + config.validation_problems())
     return config
 
 
@@ -113,6 +116,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_scenario(args) -> int:
     config = _build_config(args)
+    config.validate()
     text = format_scenario(config)
     if args.out is None:
         sys.stdout.write(text)
@@ -125,6 +129,9 @@ def _cmd_scenario(args) -> int:
 def _cmd_verify_prop1(args) -> int:
     cap = _resolve_cap(args.force)
     config = _build_config(args)
+    # first, so that an invalid config exits before any output; the trace is
+    # dropped at once, so the community checks add nothing to peak memory
+    isolation = run(config).isolation
     g, layout = config.graph, config.layout
     certified: list[int] = []
     failures = False
@@ -146,11 +153,10 @@ def _cmd_verify_prop1(args) -> int:
             f"{label}: preservation ok over {result.subsets_checked} subsets "
             f"({result.mode}, threshold {result.threshold})"
         )
-    trace = run(config)
-    for i, report in enumerate(trace.isolation):
+    for i, report in enumerate(isolation):
         label = f"community {i + 1}"
         if report.ok:
-            print(f"{label}: isolation ok over {trace.rounds} rounds")
+            print(f"{label}: isolation ok over {config.rounds} rounds")
             continue
         t, agent, med = report.first
         line = (

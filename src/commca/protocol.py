@@ -18,6 +18,13 @@ infinities to the even power-of-two width of their class, so a class's
 medians sit in the same columns, and each class is sorted once.  A bool
 flag per agent says whether its median left its community's initial
 interval; isolation reports are read off those flags after the last round.
+A round depends only on the legitimate values before it and on what the
+script shows, so once the script holds its last entry, a row that repeats
+its predecessor bit for bit repeats in every later round: run() stops there,
+fills the rest of the trace with copies and counts that round's isolation
+flags once for each later round.  The CSV writer formats rows up to the last
+distinct one and writes each repeat of it as that row's text with the round
+number swapped in.
 step() is the plain reference run() must agree with exactly, which the tests
 check bitwise.  Initial and adversary values are bounded by MAX_MAGNITUDE,
 which keeps every round finite.
@@ -258,18 +265,26 @@ class Trace:
         return self.legitimate_intervals[community]
 
     def _csv_chunks(self) -> Iterator[str]:
-        # a repr per distinct bit pattern (-0.0 and 0.0 differ), a format per round
+        # a repr per distinct bit pattern (-0.0 and 0.0 differ), a format per
+        # round up to the last distinct row, whose text the repeats reuse
         layout = self.config.layout
         template = "".join(
             f"{{0}},{u},{layout.community_of(u) + 1},"
             f"{'malicious' if layout.is_malicious(u) else 'legitimate'},{{{u + 1}}}\n"
             for u in range(self.values.shape[1])
         )
-        bits, inverse = np.unique(self.values.view(np.uint64), return_inverse=True)
-        reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        bits = self.values.view(np.uint64)
+        changed = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
+        last = int(changed[-1]) + 1 if changed.size else 0  # rows after it repeat it
+        distinct, inverse = np.unique(bits[: last + 1], return_inverse=True)
+        reprs = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+        inverse = inverse.reshape(last + 1, bits.shape[1])
         yield "round,agent,community,role,value\n"
-        for t, row in enumerate(inverse.reshape(self.values.shape)):
+        for t, row in enumerate(inverse[:last]):
             yield template.format(t, *reprs[row])
+        pieces = template.format("{0}", *reprs[inverse[last]]).split("{0}")
+        for t in range(last, bits.shape[0]):
+            yield str(t).join(pieces)
 
     def to_csv_text(self) -> str:
         return "".join(self._csv_chunks())
@@ -286,6 +301,10 @@ def run(config: SimulationConfig) -> Trace:
     the padded neighbor rows of each width class once.  Whether each median
     left its community's initial interval is kept as one byte (a bool flag),
     and the isolation reports are read off those flags after the last round.
+    From the first round at or after the script's last entry whose new row
+    equals the row before it bit for bit, every later round repeats it, so
+    the loop stops there, copies that row to the end and counts that round's
+    flags once for each later round.
     """
     config.validate()
     g, layout = config.graph, config.layout
@@ -350,10 +369,16 @@ def run(config: SimulationConfig) -> Trace:
     # outside[t, k]: legit_arr[k]'s median at round t left its community's interval
     low, high = np.array([intervals[layout.community_of(u)] for u in legit_arr]).reshape(-1, 2).T
     outside = np.empty((T, legit_arr.size), dtype=bool)
+    kept = T  # rows of outside computed; the last one holds in every later round
     for t in range(T):
         m = medians(t)
         outside[t] = (m < low) | (m > high)
         rows[t + 1, legit_arr] = alpha * rows[t, legit_arr] + (1.0 - alpha) * m
+        # the fixed point; comparing bytes keeps -0.0 apart from 0.0
+        if t >= script.size - 1 and rows[t + 1].tobytes() == rows[t].tobytes():
+            rows[t + 2:] = rows[t + 1]
+            kept = t + 1
+            break
     rows.setflags(write=False)
 
     col = np.empty(n, dtype=np.intp)  # col[u]: u's column in outside
@@ -361,11 +386,12 @@ def run(config: SimulationConfig) -> Trace:
     reports = []
     for i, own in enumerate(members):
         cols = col[own]
-        bad = outside[:, cols]
+        bad = outside[:kept, cols]
         first = None
         if bad.any():  # earliest round, then lowest id
             t = int(np.argmax(bad.any(axis=1)))
             j = int(np.argmax(bad[t]))
             first = (t, int(own[j]), float(medians(t)[cols[j]]))
-        reports.append(IsolationReport(i, int(bad.sum()), first))
+        repeats = (T - kept) * int(bad[-1].sum())
+        reports.append(IsolationReport(i, int(bad.sum()) + repeats, first))
     return Trace(rows, config, tuple(intervals), tuple(reports))

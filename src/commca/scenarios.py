@@ -435,6 +435,21 @@ def load_scenario(text: str) -> SimulationConfig:
     degree bounds, inconsistent init entries, isolated legitimate agents) are
     collected and raised together as ConfigError.
     """
+    config, problems = read_scenario(text)
+    problems.extend(config.validation_problems())
+    if problems:
+        raise ConfigError(problems)
+    return config
+
+
+def read_scenario(text: str) -> tuple[SimulationConfig, list[str]]:
+    """Parse a scenario document without validating the config it describes.
+
+    Returns the config with the problems only the document shows (violated
+    external degree bounds, inconsistent init entries); load_scenario adds
+    the config's own validation problems to these.  Errors that leave no
+    config to return raise as in load_scenario.
+    """
     sections = _split_sections(text)
     missing = [s for s in ("graph", "communities", "init", "protocol") if s not in sections]
     if missing:
@@ -498,10 +513,7 @@ def load_scenario(text: str) -> SimulationConfig:
         rounds=rounds,
         seed=seed,
     )
-    problems.extend(config.validation_problems())
-    if problems:
-        raise ConfigError(problems)
-    return config
+    return config, problems
 
 
 def format_scenario(config: SimulationConfig) -> str:

@@ -1,12 +1,23 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from commca import (
+    ConstantValue,
+    ExplicitValues,
     Graph,
+    InitializerSpec,
+    NormalDraw,
+    PerNeighborTable,
+    RoundScript,
+    SimulationConfig,
     add_cross_edges,
     complete_graph,
     disjoint_union,
@@ -335,6 +346,15 @@ class TestRun:
         assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
+    def test_document_is_validated_with_the_overrides_applied(self, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(INTRUDER_DOC.replace("rounds 10", "rounds 0"))
+        argv = ["run", "--scenario", str(doc), "--window", "5", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: round count must be at least 1, got 0\n"
+        assert main(argv + ["--rounds", "10"]) == 1  # community 1 splits
+        assert "rounds 10\n" in (tmp_path / "o" / "scenario.txt").read_text()
+
     def test_invalid_rounds_override(self, capsys, tmp_path):
         rc = main(
             ["run", "--example", "1", "--rounds", "0", "--out", str(tmp_path)]
@@ -402,6 +422,32 @@ def test_invalid_config_exits_2_before_any_output(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--example", "3", "--rounds", "60"],
+        ["run", "--scenario", "{doc}", "--window", "5"],
+        ["run", "--scenario", "{doc}", "--rounds", "60"],
+        ["verify-prop1", "--example", "2", "--rounds", "20"],
+        ["verify-prop1", "--scenario", "{doc}"],
+        ["scenario", "--example", "3"],
+    ],
+    ids=" ".join,
+)
+def test_each_command_validates_its_config_once(tmp_path, monkeypatch, argv):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(INTRUDER_DOC)
+    calls = []
+    original = SimulationConfig.validation_problems
+    monkeypatch.setattr(SimulationConfig, "validation_problems",
+                        lambda config: calls.append(config) or original(config))
+    argv = [arg.format(doc=doc) for arg in argv]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) in (0, 1)
+    assert len(calls) == 1
 
 
 class TestScenarioCommand:
@@ -519,3 +565,124 @@ class TestProcessExitCodes:
         path = write_graph(tmp_path, Graph(23, [(i, i + 1) for i in range(22)]))
         done = self.commca("check", path, "--r", "0")
         assert done.returncode == 3 and "exceeds the cap of 22" in done.stderr
+
+
+# tokens that a hand-edited file or command line might hold, valid or not
+TOKENS = st.sampled_from(
+    ["n", "0", "1", "2", "3", "-1", "29", "30", "1.5", "1e400", "nan", "x", "#",
+     "community", "1:", "malicious", "malicious:", "external", "constant",
+     "script", "table", "normal", "explicit", "alpha", "rounds", "seed", "graph"]
+)
+# each list starts with valid values, which hypothesis draws most often
+SMALL_INTS = st.sampled_from(["1", "2", "0", "3", "4", "-1", "40"])
+ROUNDS = st.sampled_from(["50", "30", "7", "1", "0", "-1"])
+SEEDS = st.sampled_from(["1", "0", "7", "-1", "0.5", "x"])
+ALPHAS = st.sampled_from(["0.9", "0.5", "0", "1.5", "nan", "x"])
+THRESHOLDS = st.sampled_from(["1e-3", "10", "0", "-1", "inf", "nan"])
+WINDOWS = st.sampled_from(["5", "1", "60", "0", "-1"])
+
+
+@st.composite
+def mangled(draw, lines):
+    """The lines as a document, now and then with a line or two replaced by
+    token soup."""
+    lines = list(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [" ".join(draw(st.lists(TOKENS, max_size=4)))]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def small_graphs(draw, n):
+    """A path through all n agents (none isolated) plus random edges."""
+    agent = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(agent, agent), max_size=40))
+    path = [(u, u + 1) for u in range(n - 1)]
+    return Graph(n, set(path) | {(min(p), max(p)) for p in pairs if p[0] != p[1]})
+
+
+@st.composite
+def layouts(draw, n):
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    subsets = [[u for u in range(n) if labels[u] == k] for k in sorted(set(labels))]
+    return CommunityLayout(subsets, [u for u in range(n) if draw(st.booleans())])
+
+
+@st.composite
+def scenario_lines(draw):
+    n = draw(st.integers(1, 12))
+    g, layout = draw(small_graphs(n)), draw(layouts(n))
+    inits = [NormalDraw(2.0, 1.0), ExplicitValues((1.0, 3.0))]
+    init = InitializerSpec(tuple(draw(st.sampled_from(inits)) for _ in layout.subsets),
+                           draw(st.sampled_from([60.0, None])))
+    arcs = sorted(a for e in g.edges for a in (e, e[::-1]) if a[0] in layout.malicious)
+    adversary = draw(st.sampled_from([
+        ConstantValue(60.0), RoundScript((60.0, -5.0)),
+        PerNeighborTable({a: 90.0 for a in arcs[:3]}, 60.0), None,
+    ]))
+    config = SimulationConfig(g, layout, init, adversary, draw(st.sampled_from([0.9, 0.5, 1.5])),
+                              int(draw(ROUNDS)), draw(st.sampled_from([0, 5, -1])))
+    return format_scenario(config).splitlines()
+
+
+@st.composite
+def command_lines(draw, files):
+    """argv for one command over the generated files, rounds at most 50."""
+    graph, communities, scenario, out = files
+    command = draw(st.sampled_from(["check", "run", "verify-prop1", "scenario"]))
+    argv = [command]
+    if command == "check":
+        mode = draw(st.sampled_from([["--rs", 2], ["--r", 1], ["--community", 1]]))
+        argv += [graph, mode[0]] + [draw(SMALL_INTS) for _ in range(mode[1])]
+        if draw(st.booleans()):
+            argv += ["--communities", communities]
+    else:
+        if command == "scenario" or draw(st.booleans()):
+            argv += ["--example", draw(st.sampled_from(["1", "2", "3"])), "--rounds", draw(ROUNDS)]
+        else:
+            argv += ["--scenario", scenario] + draw(st.sampled_from([[], ["--rounds", "50"]]))
+        options = [("--seed", SEEDS), ("--alpha", ALPHAS)]
+        if command == "run":
+            options += [("--window", WINDOWS), ("--eps", THRESHOLDS), ("--delta", THRESHOLDS)]
+            argv += ["--out", out]
+        for flag, values in options:  # each given now and then
+            if draw(st.sampled_from([False, False, True])):
+                argv += [flag, draw(values)]
+        if command == "run" and "--window" not in argv:  # the default 50 outlasts most runs
+            argv += ["--window", "5"]
+        if command == "verify-prop1":
+            argv += ["--mode", draw(st.sampled_from(["sampled", "exhaustive"])),
+                     "--samples", draw(SMALL_INTS)]
+    if draw(st.sampled_from([False] * 9 + [True])):  # an argv argparse may reject
+        argv.insert(draw(st.integers(0, len(argv))), draw(TOKENS))
+    return argv
+
+
+class TestMainFuzz:
+    """main() on generated argv and small files: every outcome is an exit
+    code of the contract.  argparse's own usage errors leave as SystemExit(2),
+    the code the process exits with."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_only_contract_exit_codes(self, data):
+        n = data.draw(st.integers(1, 30))
+        g, layout = data.draw(small_graphs(n)), data.draw(layouts(n))
+        texts = [data.draw(mangled(format_graph(g).splitlines())),
+                 data.draw(mangled(format_communities(layout).splitlines())),
+                 data.draw(mangled(data.draw(scenario_lines())))]
+        # the cap keeps every enumeration under 2^12 subsets
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, {"COMMCA_CAP": "12"}):
+            files = [os.path.join(tmp, name) for name in
+                     ("graph.txt", "communities.txt", "scenario.txt", "out")]
+            for path, text in zip(files, texts):
+                Path(path).write_text(text)
+            argv = data.draw(command_lines(files))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            event(f"{argv[0]} exits {code}")
+            assert code in (0, 1, 2, 3), argv

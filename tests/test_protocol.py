@@ -1,6 +1,9 @@
+import os
 import random
 import statistics
+import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from commca import (
     Trace,
     complete_graph,
     example1,
+    example3,
     median,
     rac_verdict,
     run,
@@ -200,13 +204,13 @@ class TestStep:
 
 
 def assert_run_matches_step(cfg):
+    """run() against iterated step(), bit for bit (-0.0 is not 0.0)."""
     trace = run(cfg)
     state = StateVector(tuple(trace.values[0]))
     for t in range(cfg.rounds):
         state = step(state, cfg.graph, cfg.layout, cfg.alpha, cfg.adversary)
-        assert np.array_equal(trace.values[t + 1], np.array(state.values)), (
-            f"round {t + 1} diverged"
-        )
+        assert np.array_equal(trace.values[t + 1].view(np.uint64),
+                              np.array(state.values).view(np.uint64)), f"round {t + 1} diverged"
     return trace
 
 
@@ -244,27 +248,16 @@ class TestRunMatchesStep:
         rng = random.Random(7)
         for _ in range(25):
             cfg = random_config(rng)
-            trace = run(cfg)
-            state = StateVector(cfg.initializer.values)
-            assert np.array_equal(trace.values[0], np.array(state.values))
-            for t in range(cfg.rounds):
-                state = step(state, cfg.graph, cfg.layout, cfg.alpha, cfg.adversary)
-                assert np.array_equal(trace.values[t + 1], np.array(state.values)), (
-                    f"round {t + 1} diverged"
-                )
+            trace = assert_run_matches_step(cfg)
+            assert np.array_equal(trace.values[0], np.array(cfg.initializer.values))
 
     def test_bitwise_equality_with_equivocation(self):
         g = complete_graph(4)
         layout = CommunityLayout([range(4)], malicious={3})
         adv = PerNeighborTable({(3, 0): 90.0, (3, 1): -90.0, (3, 2): 5.0}, 60.0)
-        cfg = SimulationConfig(
+        assert_run_matches_step(SimulationConfig(
             g, layout, PresetValues((1.0, 2.0, 3.0, 60.0)), adv, 0.8, 20, 0
-        )
-        trace = run(cfg)
-        state = StateVector(cfg.initializer.values)
-        for t in range(cfg.rounds):
-            state = step(state, g, layout, cfg.alpha, adv)
-            assert np.array_equal(trace.values[t + 1], np.array(state.values))
+        ))
 
     def test_bitwise_equality_with_script_longer_than_run(self):
         rng = random.Random(11)
@@ -273,13 +266,9 @@ class TestRunMatchesStep:
             if not cfg.layout.malicious:
                 continue
             adv = RoundScript(tuple(rng.uniform(-100.0, 100.0) for _ in range(20)))
-            trace = run(SimulationConfig(
+            assert_run_matches_step(SimulationConfig(
                 cfg.graph, cfg.layout, cfg.initializer, adv, cfg.alpha, cfg.rounds, 0
             ))
-            state = StateVector(cfg.initializer.values)
-            for t in range(cfg.rounds):
-                state = step(state, cfg.graph, cfg.layout, cfg.alpha, adv)
-                assert np.array_equal(trace.values[t + 1], np.array(state.values))
 
     def test_bitwise_equality_at_example_one_scale_with_table(self):
         # a seeded +-100 table on every malicious -> legitimate edge, over the
@@ -294,16 +283,9 @@ class TestRunMatchesStep:
             if v not in malicious
         }
         adv = PerNeighborTable(entries, 60.0)
-        cfg = SimulationConfig(
+        assert_run_matches_step(SimulationConfig(
             cfg.graph, cfg.layout, cfg.initializer, adv, cfg.alpha, cfg.rounds, cfg.seed
-        )
-        trace = run(cfg)
-        state = StateVector(tuple(trace.values[0]))
-        for t in range(cfg.rounds):
-            state = step(state, cfg.graph, cfg.layout, cfg.alpha, adv)
-            assert np.array_equal(trace.values[t + 1], np.array(state.values)), (
-                f"round {t + 1} diverged"
-            )
+        ))
 
     def test_bitwise_equality_without_legitimate_agents(self):
         layout = CommunityLayout([range(2), range(2, 4)], malicious=range(4))
@@ -352,6 +334,65 @@ class TestRunMatchesStep:
             )
             events += assert_reports_match_medians(trace)
         assert events > 100
+
+
+def first_repeat(values) -> int:
+    """The first row that repeats its predecessor bit for bit (0 if none)."""
+    bits = values.view(np.uint64)
+    same = (bits[1:] == bits[:-1]).all(axis=1)
+    return int(np.argmax(same)) + 1 if same.any() else 0
+
+
+class TestFixedPointStop:
+    """run() stops at the first row that repeats its predecessor bit for bit
+    once the script holds, and fills the rest; step() never stops."""
+
+    def test_stop_waits_for_the_script_to_hold(self):
+        # under its constant 60, example 3 repeats its rows from round 669;
+        # this script holds 60 past that and then drops to 0
+        base = example3(rounds=1000)
+        assert 0 < first_repeat(run(base).values) < 800
+        trace = assert_run_matches_step(
+            replace(base, adversary=RoundScript([60.0] * 800 + [0.0]))
+        )
+        bits = trace.values.view(np.uint64)
+        assert (bits[700:800] == bits[700]).all()
+        assert (bits[800] != bits[799]).any()  # round 800 shows 0
+
+    def test_fixed_point_at_round_one(self):
+        cfg = SimulationConfig(complete_graph(5), CommunityLayout([range(5)]),
+                               PresetValues((3.0,) * 5), None, 0.5, 40, 0)
+        trace = assert_run_matches_step(cfg)
+        assert first_repeat(trace.values) == 1
+        assert (trace.values == 3.0).all()
+        assert trace.isolation[0].ok
+
+    def test_fixed_point_in_the_last_round(self):
+        base = replace(star_config(alpha=0.5), rounds=400)
+        k = first_repeat(run(base).values)
+        assert k > 2
+        for rounds in (k - 1, k, k + 1):
+            trace = assert_run_matches_step(replace(base, rounds=rounds))
+            assert first_repeat(trace.values) == (k if rounds >= k else 0)
+
+    def test_rows_equal_only_as_floats_are_no_fixed_point(self):
+        # on the path 0-1-2, rows 0 and 1 differ only in agent 1's zero sign;
+        # agent 2's -0.0 turns into 0.0 one round later
+        cfg = SimulationConfig(Graph(3, [(0, 1), (1, 2)]), CommunityLayout([range(3)]),
+                               PresetValues((0.0, -0.0, -0.0)), None, 0.5, 5, 0)
+        trace = assert_run_matches_step(cfg)
+        assert np.signbit(trace.values).tolist()[:3] == [
+            [False, True, True], [False, False, True], [False, False, False]]
+
+    def test_reports_hold_across_the_repeated_tail(self):
+        trace = run(example3(rounds=1000))
+        k = first_repeat(trace.values)
+        assert 0 < k < 1000
+        assert assert_reports_match_medians(trace) > 0
+        # community 1's violations of round k - 1 recur in each tail round
+        before, last = (run(example3(rounds=r)).isolation[0].violations for r in (k, k - 1))
+        assert before > last
+        assert trace.isolation[0].violations == before + (1000 - k) * (before - last)
 
 
 class TestRun:
@@ -664,7 +705,7 @@ SPECIALS = [
 
 
 @st.composite
-def traces(draw):
+def traces(draw, repeat_last=False):
     n = draw(st.integers(1, 9))
     labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     subsets = [[u for u in range(n) if labels[u] == k] for k in sorted(set(labels))]
@@ -677,6 +718,15 @@ def traces(draw):
     pad = rows * n - len(cells)
     cells += draw(st.lists(st.sampled_from(pool), min_size=pad, max_size=pad))
     values = np.array(cells, dtype=np.float64).reshape(rows, n)
+    if repeat_last:
+        # 1-20 copies of the last row follow it; half the time the row before
+        # the copies differs from them only in the sign of one zero
+        last = values[-1].copy()
+        if draw(st.booleans()):
+            u = draw(st.integers(0, n - 1))
+            last[u] = draw(st.sampled_from([0.0, -0.0]))
+            values[-1, u] = -last[u]
+        values = np.vstack([values, np.tile(last, (draw(st.integers(1, 20)), 1))])
     cfg = SimulationConfig(
         Graph(n), CommunityLayout(subsets, malicious), PresetValues((0.0,) * n), None, 0.5, 1, 0
     )
@@ -688,6 +738,17 @@ class TestTraceCsv:
     @given(traces())
     def test_text_matches_reference_writer(self, trace):
         assert trace.to_csv_text() == reference_csv_text(trace)
+
+    @settings(max_examples=300)
+    @given(traces(repeat_last=True))
+    def test_repeated_rows_match_reference_writer_and_file(self, trace):
+        text = trace.to_csv_text()
+        assert text == reference_csv_text(trace)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            trace.write_csv(path)
+            with open(path, "rb") as fh:
+                assert fh.read() == text.encode()
 
     def test_signed_zeros_keep_their_signs(self):
         cfg = SimulationConfig(

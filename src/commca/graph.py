@@ -9,6 +9,7 @@ deterministic order.
 
 from __future__ import annotations
 
+import bisect
 import os
 from typing import Iterable, NamedTuple
 
@@ -98,9 +99,10 @@ class Graph:
         nodes = tuple(sorted(inside))
         index = {orig: new for new, orig in enumerate(nodes)}
         edges = [
-            (index[u], index[v])
-            for u, v in self._edges
-            if u in inside and v in inside
+            (i, index[v])
+            for i, u in enumerate(nodes)
+            for v in self._adj[u]
+            if v > u and v in index
         ]
         return InducedSubgraph(Graph(len(nodes), edges), nodes)
 
@@ -329,8 +331,14 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
+    """The plain graph format, one `u v` line per edge with u < v, in
+    ascending (u, v) order."""
     lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    for u in range(g.n):
+        row = g.neighbors(u)
+        higher = row[bisect.bisect_right(row, u):]
+        if higher:  # u's lines, joined as one block
+            lines.append(f"{u} " + f"\n{u} ".join(map(str, higher)))
     return "\n".join(lines) + "\n"
 
 

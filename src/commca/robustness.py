@@ -21,7 +21,10 @@ memory is refused with MemoryError before any is allocated.  Checks are
 capped by default at n = 22 agents (cap=None here, COMMCA_CAP or --force on
 the command line, change it).  The community predicate first tries a
 minimum-degree bound that decides many communities at any size (see
-is_community).  Negative verdicts carry a machine-checkable witness pair.
+is_community); it reads the members' degrees off the whole graph and builds
+the induced subgraph only when the bound leaves the question open or a
+complete community needs its witness.  Negative verdicts carry a
+machine-checkable witness pair.
 
 Reachability preservation (Proposition 1) follows from one line of algebra,
 so it is certified in closed form at any community size and needs no cap.
@@ -340,18 +343,26 @@ def is_community(
     subsets fit and the clause holds at any size.  Otherwise a complete
     induced subgraph fails on its first two k-sets, at any size, and any other
     goes to the engine under the cap.  witness is in original ids.
+
+    Each member's external degree and induced degree (its degree less the
+    external part) come from one pass over the members' adjacency rows, and
+    delta and completeness (delta = |V| - 1) are read off them.  The induced
+    subgraph is built only when 2k <= |V|, for the engine or the complete
+    graph's witness.
     """
     if malicious_count < 0:
         raise ValueError("malicious count must be non-negative")
-    ext = g.max_external_degree(members)
-    sub, nodes = g.induced_subgraph(members)
-    dmin = sub.min_degree()
+    outside = g.external_degrees(members)
+    nodes = tuple(sorted(outside))
+    ext = max(outside.values())
+    dmin = min(g.degree(u) - e for u, e in outside.items())  # induced degrees
     required = 2 * malicious_count + ext + 1
     s = malicious_count + 1
     k = _least_non_full_size(dmin, ext)
-    analytic = 2 * k > sub.n or sub.is_complete()
+    analytic = 2 * k > len(nodes) or dmin == len(nodes) - 1
     witness = None
-    if 2 * k <= sub.n:  # in a complete graph every k-set is non-full, none reachable
+    if 2 * k <= len(nodes):  # in a complete graph every k-set is non-full, none reachable
+        sub = g.induced_subgraph(nodes).graph
         found = (_violation(sub, range(k), range(k, 2 * k), ext, s, s) if analytic
                  else is_rs_excess_robust(sub, ext, s, cap=cap))
         witness = None if found.robust else _translate_witness(found, nodes)

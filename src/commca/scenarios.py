@@ -41,10 +41,7 @@ from .graph import (
     CommunityLayout,
     FormatError,
     Graph,
-    add_cross_edges,
-    complete_graph,
     content_lines,
-    disjoint_union,
     format_graph,
     read_graph,
     read_ids,
@@ -149,10 +146,15 @@ def _certify(condition: bool, claim: str) -> None:
         raise RuntimeError(f"builder self-certification failed: {claim}")
 
 
-def _two_cliques(n1: int, n2: int, f1: int, f2: int) -> tuple[Graph, frozenset[int]]:
-    """Complete graphs on n1 and n2 agents side by side, with the last f1 and
-    the last f2 agents of each malicious."""
-    g = disjoint_union(complete_graph(n1), complete_graph(n2))
+def _two_cliques(
+    n1: int, n2: int, f1: int, f2: int, cross: list[tuple[int, int]]
+) -> tuple[Graph, frozenset[int]]:
+    """Complete graphs on n1 and n2 agents side by side plus the `cross`
+    edges, built as one graph from one edge list, with the last f1 and the
+    last f2 agents of each malicious."""
+    edges = [(u, v) for lo, hi in ((0, n1), (n1, n1 + n2))
+             for u in range(lo, hi) for v in range(u + 1, hi)]
+    g = Graph(n1 + n2, edges + cross)
     return g, frozenset(range(n1 - f1, n1)) | frozenset(range(n1 + n2 - f2, n1 + n2))
 
 
@@ -196,12 +198,12 @@ def example1(
     """
     _require_seed(seed)
     n1, n2, f1, f2 = 123, 35, 20, 10
-    g, malicious = _two_cliques(n1, n2, f1, f2)
-    legit = [u for u in range(g.n) if u not in malicious]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    side1 = [int(u) for u in rng.permutation(legit[: n1 - f1])]
-    side2 = [int(u) for u in rng.permutation(legit[n1 - f1 :])]
-    g = add_cross_edges(g, [(side1[i % 24], side2[i % 25]) for i in range(26)])
+    rng = np.random.Generator(np.random.PCG64(seed))  # shuffles each side's legitimate ids
+    side1 = [int(u) for u in rng.permutation(range(n1 - f1))]
+    side2 = [int(u) for u in rng.permutation(range(n1, n1 + n2 - f2))]
+    g, malicious = _two_cliques(
+        n1, n2, f1, f2, [(side1[i % 24], side2[i % 25]) for i in range(26)]
+    )
     config = _two_communities(g, n1, malicious, 2, seed, rounds, alpha)
     layout = config.layout
     for i, members in enumerate(layout.subsets):
@@ -230,11 +232,11 @@ def example2(
     _require_seed(seed)
     n1, f1 = 16, 6
     five, four = EXAMPLE2_SPLIT
-    edges = list(complete_graph(n1).edges)
+    edges = [(a, b) for a in range(n1) for b in range(a + 1, n1)]
     edges += [(a, b) for a in five for b in five if a < b]
     edges += [(a, b) for a in four for b in four if a < b]
-    edges += [(20, b) for b in four]
-    g = add_cross_edges(Graph(n1 + 9, edges), [(0, 16)])
+    edges += [(20, b) for b in four] + [(0, 16)]
+    g = Graph(n1 + 9, edges)
     malicious = frozenset(range(n1 - f1, n1)) | {20}
     config = _two_communities(g, n1, malicious, 1, seed, rounds, alpha)
     community1, community2 = config.layout.subsets
@@ -270,9 +272,10 @@ def example3(
     """
     _require_seed(seed)
     n1, f1, f2 = 15, 6, 3
-    g, malicious = _two_cliques(n1, 11, f1, f2)
     # carriers 0, 1, 2 of community 1 to malicious targets 23, 24, 25
-    g = add_cross_edges(g, [(0, 23), (0, 24), (1, 24), (1, 25), (2, 25), (2, 23)])
+    g, malicious = _two_cliques(
+        n1, 11, f1, f2, [(0, 23), (0, 24), (1, 24), (1, 25), (2, 25), (2, 23)]
+    )
     config = _two_communities(g, n1, malicious, 2, seed, rounds, alpha)
     community1, community2 = config.layout.subsets
 

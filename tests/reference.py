@@ -110,6 +110,15 @@ def reversed_order_step(
     return StateVector(tuple(out[u] for u in range(g.n)), t + 1)
 
 
+def naive_induced_subgraph(g: Graph, members: Iterable[int]) -> Tuple[Graph, Tuple[int, ...]]:
+    """Subgraph on `members` from a filter over every edge of g, relabeled
+    0..k-1 in ascending original id order, with the original ids."""
+    nodes = tuple(sorted(set(members)))
+    index = {u: i for i, u in enumerate(nodes)}
+    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    return Graph(len(nodes), edges), nodes
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commca import (
     CommunityLayout,
@@ -16,7 +18,7 @@ from commca import (
     parse_graph,
 )
 
-from reference import random_graph
+from reference import naive_induced_subgraph, random_graph
 
 
 class TestGraphConstruction:
@@ -129,8 +131,17 @@ class TestInducedSubgraph:
                     )
 
     def test_unknown_node_rejected(self):
-        with pytest.raises(ValueError):
-            complete_graph(3).induced_subgraph({0, 5})
+        with pytest.raises(ValueError, match=r"outside 0\.\.2: \[5, 7\]"):
+            complete_graph(3).induced_subgraph({0, 5, 7})
+
+    @settings(deadline=None)
+    @given(st.integers(1, 14), st.floats(0, 1), st.randoms(use_true_random=False),
+           st.data())
+    def test_matches_edge_filter(self, n, p, rng, data):
+        g = random_graph(rng, n, p)
+        members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        sub = g.induced_subgraph(members)
+        assert (sub.graph, sub.nodes) == naive_induced_subgraph(g, members)
 
 
 class TestBuilders:
@@ -238,6 +249,13 @@ class TestGraphFiles:
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 10), 0.5)
             assert parse_graph(format_graph(g)) == g
+
+    @settings(deadline=None)
+    @given(st.integers(0, 14), st.floats(0, 1), st.randoms(use_true_random=False))
+    def test_edge_lines_in_sorted_order(self, n, p, rng):
+        g = random_graph(rng, n, p)
+        lines = "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+        assert format_graph(g) == f"n {n}\n" + lines
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\nn 3\n0 1\n# middle\n1 2\n\n"

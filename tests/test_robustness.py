@@ -9,6 +9,8 @@ from commca import (
     CommunityCheck,
     EnumerationCapExceeded,
     Graph,
+    ReachabilityReport,
+    RobustnessWitness,
     add_cross_edges,
     complete_graph,
     complete_rs_certificate,
@@ -23,7 +25,7 @@ from commca import (
     verify_reachability_preservation,
 )
 from commca.robustness import _subset_table, _translate_witness
-from commca.scenarios import example1
+from commca.scenarios import example1, example3
 
 from reference import (
     naive_excess,
@@ -375,6 +377,46 @@ class TestCommunityPredicate:
             check.malicious_count + 1,
         )
         assert not ev.satisfied
+
+    def test_bound_decided_communities_build_no_induced_subgraph(self, monkeypatch):
+        def refuse(self, members):
+            raise AssertionError("induced subgraph built")
+
+        monkeypatch.setattr(Graph, "induced_subgraph", refuse)
+        cases = [(complete_minus_matching(40), range(40), 3)]
+        for build in (example1, example3):  # both certify themselves as well
+            cfg = build()
+            cases += [(cfg.graph, members, cfg.layout.malicious_count(i))
+                      for i, members in enumerate(cfg.layout.subsets)]
+        for g, members, f in cases:
+            check = is_community(g, members, f)
+            assert check.certified_analytically and check.robust
+
+    def test_witnesses_in_original_ids_are_pinned(self):
+        # an engine-decided community and a failing complete one, both shifted
+        g = add_cross_edges(disjoint_union(complete_graph(3), split_community_graph()),
+                            [(0, 3)])
+        check = is_community(g, range(3, 12), malicious_count=1)
+        assert not check.certified_analytically and check.reasons == ("robustness",)
+        assert check.witness == RobustnessWitness(False, 1, 2, (
+            ReachabilityReport(frozenset({3, 4, 5}), 1, frozenset(), {3: 0, 4: 0, 5: 0}),
+            ReachabilityReport(frozenset({7, 8, 9}), 1, frozenset({7}),
+                               {7: 4, 8: 0, 9: 0}),
+        ))
+        g = add_cross_edges(disjoint_union(Graph(3), complete_graph(8)),
+                            [(v, 3) for v in range(3)])
+        check = is_community(g, range(3, 11), malicious_count=0)
+        assert check == CommunityCheck(
+            members=frozenset(range(3, 11)), malicious_count=0, external_degree=3,
+            robust=False, min_degree=7, required_degree=4, reasons=("robustness",),
+            witness=RobustnessWitness(False, 3, 1, (
+                ReachabilityReport(frozenset(range(3, 7)), 3, frozenset(),
+                                   dict.fromkeys(range(3, 7), 1)),
+                ReachabilityReport(frozenset(range(7, 11)), 3, frozenset(),
+                                   dict.fromkeys(range(7, 11), 1)),
+            )),
+            certified_analytically=True,
+        )
 
     def test_large_complete_community_skips_enumeration(self):
         check = is_community(complete_graph(20), range(20), malicious_count=3)

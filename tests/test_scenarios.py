@@ -172,6 +172,22 @@ def test_builders_refuse_a_negative_seed_before_drawing(build):
         build(seed=-1)
 
 
+@pytest.mark.parametrize("build,sizes", [(example1, [158]), (example2, [25, 9]),
+                                         (example3, [26])])
+def test_builders_construct_each_graph_once(build, sizes, monkeypatch):
+    # example2 also builds its second community to certify the split
+    built = []
+    init = Graph.__init__
+
+    def counted(self, n, edges=()):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    build()
+    assert built == sizes
+
+
 class TestInitializerSpec:
     def test_same_seed_reproduces_values(self):
         cfg = example1()

@@ -4,7 +4,9 @@ share.
 
 Agents are integers 0..n-1.  Graphs are immutable once built and neighbor
 iteration is sorted by id, so every downstream computation sees the same
-deterministic order.
+deterministic order.  A graph stores only its sorted neighbor rows; edge
+sets, edge lookups and bitmasks are derived from them on each call.  Graph()
+is the one place an edge is checked: add_cross_edges and read_graph rely on it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class FormatError(ValueError):
 class Graph:
     """Immutable undirected simple graph on agents 0..n-1."""
 
-    __slots__ = ("_n", "_edges", "_adj", "_masks")
+    __slots__ = ("_n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -52,9 +54,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._n = n
-        self._edges = frozenset(seen)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._masks: tuple[int, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -63,7 +63,7 @@ class Graph:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Edge set as (u, v) pairs with u < v."""
-        return self._edges
+        return frozenset((u, v) for u, row in enumerate(self._adj) for v in row if v > u)
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbors of u in ascending id order."""
@@ -77,7 +77,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_agent(u)
         self._check_agent(v)
-        return (min(u, v), max(u, v)) in self._edges
+        row = self._adj[u]
+        i = bisect.bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def min_degree(self) -> int:
         if self._n == 0:
@@ -107,15 +109,11 @@ class Graph:
         return InducedSubgraph(Graph(len(nodes), edges), nodes)
 
     def is_complete(self) -> bool:
-        return len(self._edges) == self._n * (self._n - 1) // 2
+        return all(len(row) == self._n - 1 for row in self._adj)
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-agent neighbor sets as bitmasks (bit v set iff v is a neighbor)."""
-        if self._masks is None:
-            self._masks = tuple(
-                sum(1 << v for v in nbrs) for nbrs in self._adj
-            )
-        return self._masks
+        return tuple(sum(1 << v for v in row) for row in self._adj)
 
     def _check_agent(self, u: int) -> None:
         if not (0 <= u < self._n):
@@ -133,13 +131,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self._n}, edges={len(self._edges)})"
+        return f"Graph(n={self._n}, edges={sum(map(len, self._adj)) // 2})"
 
 
 class InducedSubgraph(NamedTuple):
@@ -169,20 +167,10 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 def add_cross_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
     """New graph with `pairs` added as edges.
 
-    Rejects self-loops, edges already present, and pairs repeated in the input.
+    Graph checks the pairs after g's own edges, so a self-loop, an edge
+    already present or a pair repeated in the input is its ValueError.
     """
-    new = list(g.edges)
-    seen = set(g.edges)
-    for u, v in pairs:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"self-loop on agent {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"edge {key} already present")
-        seen.add(key)
-        new.append(key)
-    return Graph(g.n, new)
+    return Graph(g.n, [*g.edges, *pairs])
 
 
 class CommunityLayout:
@@ -307,19 +295,22 @@ def read_graph(lines: list[tuple[int, str]]) -> Graph:
     n = read_int(lineno, tokens[1], "agent count")
     if n * _AGENT_BYTES > physical_memory():  # refused before anything is allocated
         raise MemoryError(f"{n} agents need about {n * _AGENT_BYTES} bytes")
-    edges: list[tuple[int, int]] = []
-    for lineno, line in edge_lines:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise FormatError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            edges.append((int(tokens[0]), int(tokens[1])))
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad edge {line!r}") from None
+
+    def pairs():  # notes the line it is on, so that any error can name it
+        nonlocal lineno
+        for lineno, line in edge_lines:
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise ValueError(f"expected 'u v', got {line!r}")
+            try:
+                yield int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ValueError(f"bad edge {line!r}") from None
+
     try:
-        return Graph(n, edges)
+        return Graph(n, pairs())
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def parse_graph(text: str) -> Graph:

@@ -12,12 +12,16 @@ synchronous: every round-t+1 value is computed from round-t values only.
 An adversary is a plain value: a per-round script that every malicious
 agent displays (holding its last entry) plus fixed per-neighbor overrides.
 Malicious agent v presents overrides.get((v, u), script[t]) to neighbor u, so
-run() tabulates the whole malicious schedule once.  Each of its rounds is the
-update rule alone: legitimate agents' neighbor rows are padded with
-infinities to the even power-of-two width of their class, so a class's
-medians sit in the same columns, and each class is sorted once.  A bool
-flag per agent says whether its median left its community's initial
-interval; isolation reports are read off those flags after the last round.
+run() tabulates the whole malicious schedule once.  The community predicate
+guarantees isolation against any presentation, but agreement only when each
+malicious agent shows all its neighbors one value: a table showing 1.0 to two
+legitimate agents of a certified K_6 and 0.0 to the other two splits it.
+Each of run()'s rounds is the update rule alone: legitimate agents' neighbor
+rows are padded with infinities to the even power-of-two width of their
+class, so a class's medians sit in the same columns, and each class is
+sorted once.  A bool flag per agent says whether its median left its
+community's initial interval; isolation reports are read off those flags
+after the last round.
 A round depends only on the legitimate values before it and on what the
 script shows, so once the script holds its last entry, a row that repeats
 its predecessor bit for bit repeats in every later round: run() stops there,
@@ -180,8 +184,9 @@ class SimulationConfig:
         if self.layout.malicious and self.adversary is None:
             problems.append("malicious agents present but no adversary strategy given")
         elif self.adversary is not None:
+            ids = range(self.graph.n)
             stray = sorted(k for k in self.adversary.overrides if k[0] not in self.layout.malicious
-                           or (min(k), max(k)) not in self.graph.edges)
+                           or not (k[0] in ids and k[1] in ids and self.graph.has_edge(*k)))
             if stray:
                 problems.append(f"table entries not on an edge from a malicious agent: {stray}")
         if self.initializer is None:

@@ -130,7 +130,10 @@ class CommunityCheck:
     least 2f + k + 1.  reasons lists the failed clauses, drawn from
     {"robustness", "degree"}.  witness is the violating pair when the
     robustness clause fails, else None; certified_analytically marks a
-    clause decided without the engine.
+    clause decided without the engine.  A qualifying community keeps its
+    legitimate medians inside its initial interval against any adversary,
+    but reaches agreement for certain only when each malicious agent shows
+    all its neighbors one value.
     """
 
     members: frozenset[int]

@@ -110,6 +110,28 @@ def reversed_order_step(
     return StateVector(tuple(out[u] for u in range(g.n)), t + 1)
 
 
+def naive_graph(
+    n: int, edges: Iterable[Tuple[int, int]]
+) -> "Tuple[FrozenSet[Tuple[int, int]], Tuple[Tuple[int, ...], ...]] | str":
+    """What Graph(n, edges) holds, from a plain set of (low, high) pairs: the
+    edge set and each agent's sorted neighbors, or, when some edge is bad,
+    the message of the first bad one in input order."""
+    kept: Set[Tuple[int, int]] = set()
+    for u, v in edges:
+        if u == v:
+            return f"self-loop on agent {u}"
+        if u not in range(n) or v not in range(n):
+            return f"edge ({u}, {v}) outside agent range 0..{n - 1}"
+        if (min(u, v), max(u, v)) in kept:
+            return f"duplicate edge {(min(u, v), max(u, v))}"
+        kept.add((min(u, v), max(u, v)))
+    rows = tuple(
+        tuple(sorted([b for a, b in kept if a == u] + [a for a, b in kept if b == u]))
+        for u in range(n)
+    )
+    return frozenset(kept), rows
+
+
 def naive_induced_subgraph(g: Graph, members: Iterable[int]) -> Tuple[Graph, Tuple[int, ...]]:
     """Subgraph on `members` from a filter over every edge of g, relabeled
     0..k-1 in ascending original id order, with the original ids."""

@@ -166,6 +166,13 @@ class TestCheckErrors:
         assert main(["check", str(path), "--rs", "0", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_edge_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "loop.txt"
+        path.write_text("n 4\n0 1\n\n# then a loop\n3 3\n")
+        assert main(["check", str(path), "--rs", "0", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: line 5: self-loop on agent 3\n")
+
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt"), "--rs", "0", "1"]) == 2
 
@@ -529,6 +536,45 @@ class TestVerifyProp1:
         assert "not a community" in out
         assert "isolation violated" in out
         assert "[community predicate not met; informational]" in out
+
+
+# K_6 with agents 4 and 5 malicious: each shows 1.0 to agents 0 and 1 and 0.0
+# to agents 2 and 3, so the legitimate agents split into two pairs whose
+# median ties hold them apart
+K6_EDGES = "".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6))
+K6_EQUIVOCATION_DOC = (
+    "graph\nn 6\n" + K6_EDGES
+    + "communities\ncommunity 1: 0 1 2 3 4 5\nmalicious\n4 5\n"
+    "init\ncommunity 1: explicit 1.0 1.0 0.0 0.0\nmalicious: constant 0.5\n"
+    "protocol\nalpha 0.5\nrounds 100\nseed 0\nadversary\ntable 0.5\n"
+    + "".join(f"{m} {u} {1.0 if u < 2 else 0.0}\n" for m in (4, 5) for u in range(4))
+)
+
+
+class TestEquivocationScope:
+    """The community predicate guarantees isolation against any presentation,
+    but agreement only when each malicious agent shows all its neighbors one
+    value: a certified community splits under this table."""
+
+    def test_certified_community(self, tmp_path, capsys):
+        gpath = tmp_path / "k6.txt"
+        gpath.write_text("n 6\n" + K6_EDGES)
+        cpath = write_communities(tmp_path, CommunityLayout([range(6)], {4, 5}))
+        assert main(["check", str(gpath), "--communities", cpath, "--community", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "community 1: community=yes external=0 min-degree=5 required=5\n"
+        )
+
+    def test_equivocating_table_splits_it_into_two_clusters(self, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(K6_EQUIVOCATION_DOC)
+        assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 1
+        assert "community 1: agreement=no safety=yes clusters=2\n" in capsys.readouterr().out
+        assert main(["verify-prop1", "--scenario", str(doc)]) == 0
+        assert capsys.readouterr().out == (
+            "community 1: preservation ok over 63 subsets (exhaustive, threshold 0)\n"
+            "community 1: isolation ok over 100 rounds\n"
+        )
 
 
 class TestProcessExitCodes:

@@ -18,7 +18,17 @@ from commca import (
     parse_graph,
 )
 
-from reference import naive_induced_subgraph, random_graph
+from reference import naive_graph, naive_induced_subgraph, random_graph
+
+
+def edge_lists(n):
+    """Edge lists on n agents: simple ones, and ones with ids from -1 to n
+    that may hold self-loops, out-of-range ends and repeats, several at once."""
+    agent = st.integers(0, max(n - 1, 0))
+    simple = st.lists(st.tuples(agent, agent).filter(lambda e: e[0] != e[1]),
+                      unique_by=frozenset) if n >= 2 else st.just([])
+    loose = st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=3 * n + 2)
+    return st.one_of(simple, loose)
 
 
 class TestGraphConstruction:
@@ -67,6 +77,31 @@ class TestGraphConstruction:
         g = Graph(2, [(0, 1)])
         with pytest.raises(ValueError):
             g.neighbors(2)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), edge_lists(n))))
+    def test_matches_naive_reference(self, case):
+        n, edges = case
+        expected = naive_graph(n, edges)
+        if isinstance(expected, str):  # the message of the first bad edge
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                Graph(n, edges)
+            return
+        edge_set, rows = expected
+        g = Graph(n, edges)
+        assert g.edges == edge_set
+        assert tuple(g.neighbors(u) for u in range(n)) == rows
+        for u in range(n):
+            for v in range(n):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edge_set)
+        assert g.is_complete() == (len(edge_set) == n * (n - 1) // 2)
+        assert g.neighbor_masks() == tuple(sum(1 << v for v in row) for row in rows)
+        assert repr(g) == f"Graph(n={n}, edges={len(edge_set)})"
+        same = Graph(n, sorted(edge_set, reverse=True))
+        assert g == same and hash(g) == hash(same)
+        assert g != Graph(n + 1, edge_set)
+        if edge_set:
+            assert g != Graph(n, sorted(edge_set)[1:])
 
 
 class TestDegreeQueries:
@@ -173,8 +208,13 @@ class TestBuilders:
 
     def test_add_cross_edges_rejects_duplicate(self):
         g = complete_graph(3)
-        with pytest.raises(ValueError):
-            add_cross_edges(g, [(0, 1)])
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            add_cross_edges(g, [(1, 0)])
+
+    def test_add_cross_edges_rejects_repeated_pair(self):
+        g = Graph(4, [(0, 1)])
+        with pytest.raises(ValueError, match=r"^duplicate edge \(2, 3\)$"):
+            add_cross_edges(g, [(2, 3), (3, 2)])
 
     def test_add_cross_edges_rejects_self_loop(self):
         g = Graph(3, [(0, 1)])
@@ -281,8 +321,27 @@ class TestGraphFiles:
             parse_graph("n 3\n0 1 2\n")
 
     def test_duplicate_edge_reported_with_line(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"^line 3: duplicate edge \(0, 1\)$"):
             parse_graph("n 3\n0 1\n1 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# loops\nn 3\n0 1\n\n2 2\n", "line 5: self-loop on agent 2"),
+            ("n 3\n0 1\n1 3\n", "line 3: edge (1, 3) outside agent range 0..2"),
+            ("n -1\n", "line 1: agent count must be non-negative"),
+        ],
+    )
+    def test_bad_edge_reported_with_line(self, text, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_graph(text)
+
+    def test_first_bad_line_in_file_order_wins(self):
+        # a bad edge ahead of a bad token is reported, and the reverse
+        with pytest.raises(FormatError, match=r"^line 2: self-loop on agent 0$"):
+            parse_graph("n 3\n0 0\n0 x\n")
+        with pytest.raises(FormatError, match=r"^line 2: bad edge '0 x'$"):
+            parse_graph("n 3\n0 x\n0 0\n")
 
 
 class TestCommunityFiles:

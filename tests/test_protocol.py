@@ -543,6 +543,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[\(3, 0\), \(3, 9\)\]"):
             run(cfg)
 
+    def test_table_entries_beyond_the_graph_rejected_with_the_layout(self):
+        # the layout names agent 5 of a 4-agent graph, so the table check
+        # meets ids that have no adjacency row, and a negative neighbor id
+        g = complete_graph(4)
+        layout = CommunityLayout([range(4), {5}], malicious={3, 5})
+        adv = PerNeighborTable({(5, 0): 1.0, (3, -1): 1.0, (3, 2): 1.0}, 0.0)
+        cfg = SimulationConfig(g, layout, PresetValues((0.0,) * 4), adv, 0.5, 3, 0)
+        with pytest.raises(ConfigError) as info:
+            run(cfg)
+        assert info.value.problems == [
+            "community ids not in the graph: [5]",
+            "table entries not on an edge from a malicious agent: [(3, -1), (5, 0)]",
+        ]
+
     def test_non_finite_initial_values_rejected(self):
         g = complete_graph(3)
         layout = CommunityLayout([range(3)])

@@ -402,6 +402,11 @@ class TestDocumentParsing:
         with pytest.raises(FormatError, match="before any section"):
             load_scenario("n 2\n" + BASE_DOC)
 
+    def test_bad_graph_edge_names_its_document_line(self):
+        doc = BASE_DOC.replace("1 2\n", "# a repeat\n2 1\n1 2\n")
+        with pytest.raises(FormatError, match=r"^line 6: duplicate edge \(1, 2\)$"):
+            load_scenario(doc)
+
     def test_missing_protocol_keys_reported(self):
         doc = BASE_DOC.replace("seed 3\n", "")
         with pytest.raises(FormatError, match="seed"):

@@ -26,9 +26,10 @@ A round depends only on the legitimate values before it and on what the
 script shows, so once the script holds its last entry, a row that repeats
 its predecessor bit for bit repeats in every later round: run() stops there,
 fills the rest of the trace with copies and counts that round's isolation
-flags once for each later round.  The CSV writer formats rows up to the last
-distinct one and writes each repeat of it as that row's text with the round
-number swapped in.
+flags once for each later round.  The CSV writer writes bytes: rows up to
+the last distinct one become numpy byte-string cells a block of rounds at a
+time, with one repr per distinct bit pattern, and each repeat of that row is
+its bytes in a reused buffer with only the round's digits patched in.
 step() is the plain reference run() must agree with exactly, which the tests
 check bitwise.  Initial and adversary values are bounded by MAX_MAGNITUDE,
 which keeps every round finite.
@@ -36,9 +37,10 @@ which keeps every round finite.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +50,10 @@ from .graph import CommunityLayout, Graph
 # Initial and adversary values may not exceed this magnitude, so that the sum
 # of two values (an even median, a verdict's mean) never overflows.
 MAX_MAGNITUDE = 1e300
+
+# Cells the CSV writer formats and writes at once, so that each of its
+# temporary arrays stays near 200 KB however long the trace is.
+_BLOCK_CELLS = 4096
 
 
 class ConfigError(ValueError):
@@ -247,7 +253,12 @@ class IsolationReport:
 
 @dataclass
 class Trace:
-    """values[t, u] is agent u's stored value at round t (row 0 is initial)."""
+    """values[t, u] is agent u's stored value at round t (row 0 is initial).
+
+    write_csv writes the trace as CSV bytes, one line per agent and round, and
+    to_csv_text returns the same bytes as text.  The writer holds a block of
+    about _BLOCK_CELLS cells at a time, never the whole text.
+    """
 
     values: np.ndarray
     config: SimulationConfig
@@ -269,34 +280,60 @@ class Trace:
         None when it has none."""
         return self.legitimate_intervals[community]
 
-    def _csv_chunks(self) -> Iterator[str]:
-        # a repr per distinct bit pattern (-0.0 and 0.0 differ), a format per
-        # round up to the last distinct row, whose text the repeats reuse
+    def _write_csv(self, fh) -> None:
+        # fh takes bytes: a binary file, or a BytesIO for to_csv_text
         layout = self.config.layout
-        template = "".join(
-            f"{{0}},{u},{layout.community_of(u) + 1},"
-            f"{'malicious' if layout.is_malicious(u) else 'legitimate'},{{{u + 1}}}\n"
-            for u in range(self.values.shape[1])
-        )
+        rows, n = self.values.shape
+        lead = np.array([
+            f",{u},{layout.community_of(u) + 1},"
+            f"{'malicious' if layout.is_malicious(u) else 'legitimate'},"
+            for u in range(n)
+        ], dtype="S")
         bits = self.values.view(np.uint64)
         changed = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
         last = int(changed[-1]) + 1 if changed.size else 0  # rows after it repeat it
+        # one repr per distinct bit pattern (-0.0 and 0.0 differ)
         distinct, inverse = np.unique(bits[: last + 1], return_inverse=True)
-        reprs = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-        inverse = inverse.reshape(last + 1, bits.shape[1])
-        yield "round,agent,community,role,value\n"
-        for t, row in enumerate(inverse[:last]):
-            yield template.format(t, *reprs[row])
-        pieces = template.format("{0}", *reprs[inverse[last]]).split("{0}")
-        for t in range(last, bits.shape[0]):
-            yield str(t).join(pieces)
+        reprs = np.strings.add(
+            np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype="S"), b"\n")
+        inverse = inverse.reshape(last + 1, n)
+        block = max(1, _BLOCK_CELLS // max(n, 1))  # rounds per write
+        fh.write(b"round,agent,community,role,value\n")
+        # rows before the last distinct one: fixed-width cells, whose NUL
+        # padding is dropped (no cell holds a NUL byte)
+        for lo in range(0, last, block):
+            t = np.arange(lo, min(lo + block, last))
+            cells = np.strings.add(np.strings.add(t.astype(f"S{len(str(t[-1]))}")[:, None], lead),
+                                   reprs[inverse[lo : lo + t.size]])
+            u8 = cells.view(np.uint8)
+            fh.write(u8[u8 != 0])
+        # the last distinct row and its repeats: for each digit count d, the
+        # row's bytes with d NULs where its round goes, tiled into a buffer of
+        # a block of rows whose digits each write patches in place; fh.write
+        # consumes the buffer before it returns, so no view of it outlives one
+        pieces = [b"", *np.strings.add(lead, reprs[inverse[last]]).tolist()]
+        lo = last
+        while lo < rows:
+            d = len(str(lo))
+            hi = min(rows, 10**d)
+            row = np.frombuffer(bytes(d).join(pieces), dtype=np.uint8)
+            holes = np.flatnonzero(row == 0).reshape(n, d)
+            buf = np.tile(row, (min(block, hi - lo), 1))
+            scale = 10 ** np.arange(d - 1, -1, -1)
+            for start in range(lo, hi, block):
+                t = np.arange(start, min(start + block, hi))
+                buf[: t.size, holes] = (t[:, None] // scale % 10 + ord("0"))[:, None, :]
+                fh.write(buf[: t.size])
+            lo = hi
 
     def to_csv_text(self) -> str:
-        return "".join(self._csv_chunks())
+        with io.BytesIO() as fh:
+            self._write_csv(fh)
+            return fh.getvalue().decode()
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.writelines(self._csv_chunks())
+        with open(path, "wb") as fh:
+            self._write_csv(fh)
 
 
 def run(config: SimulationConfig) -> Trace:

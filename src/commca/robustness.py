@@ -130,7 +130,9 @@ class CommunityCheck:
     least 2f + k + 1.  reasons lists the failed clauses, drawn from
     {"robustness", "degree"}.  witness is the violating pair when the
     robustness clause fails, else None; certified_analytically marks a
-    clause decided without the engine.  A qualifying community keeps its
+    clause decided without the engine.  robust is None when the robustness
+    clause was left undecided: the degree clause fails and the induced
+    subgraph is over the enumeration cap.  A qualifying community keeps its
     legitimate medians inside its initial interval against any adversary,
     but reaches agreement for certain only when each malicious agent shows
     all its neighbors one value.
@@ -139,7 +141,7 @@ class CommunityCheck:
     members: frozenset[int]
     malicious_count: int
     external_degree: int
-    robust: bool
+    robust: bool | None
     min_degree: int
     required_degree: int
     reasons: tuple[str, ...]
@@ -345,7 +347,9 @@ def is_community(
     for induced minimum degree delta.  When 2k > |V| no two disjoint non-full
     subsets fit and the clause holds at any size.  Otherwise a complete
     induced subgraph fails on its first two k-sets, at any size, and any other
-    goes to the engine under the cap.  witness is in original ids.
+    goes to the engine under the cap.  Past the cap, a member set that fails
+    the degree clause gets a degree-only verdict (robust is None) instead of
+    EnumerationCapExceeded.  witness is in original ids.
 
     Each member's external degree and induced degree (its degree less the
     external part) come from one pass over the members' adjacency rows, and
@@ -364,11 +368,16 @@ def is_community(
     k = _least_non_full_size(dmin, ext)
     analytic = 2 * k > len(nodes) or dmin == len(nodes) - 1
     witness = None
-    if 2 * k <= len(nodes):  # in a complete graph every k-set is non-full, none reachable
-        sub = g.induced_subgraph(nodes).graph
-        found = (_violation(sub, range(k), range(k, 2 * k), ext, s, s) if analytic
-                 else is_rs_excess_robust(sub, ext, s, cap=cap))
-        witness = None if found.robust else _translate_witness(found, nodes)
+    robust: bool | None = True
+    if 2 * k <= len(nodes):
+        if not analytic and dmin < required and cap is not None and len(nodes) > cap:
+            robust = None  # the degree clause already fails; enumeration is not needed
+        else:  # in a complete graph every k-set is non-full, none reachable
+            sub = g.induced_subgraph(nodes).graph
+            found = (_violation(sub, range(k), range(k, 2 * k), ext, s, s) if analytic
+                     else is_rs_excess_robust(sub, ext, s, cap=cap))
+            witness = None if found.robust else _translate_witness(found, nodes)
+            robust = witness is None
     reasons = []
     if witness is not None:
         reasons.append("robustness")
@@ -378,7 +387,7 @@ def is_community(
         members=frozenset(nodes),
         malicious_count=malicious_count,
         external_degree=ext,
-        robust=witness is None,
+        robust=robust,
         min_degree=dmin,
         required_degree=required,
         reasons=tuple(reasons),

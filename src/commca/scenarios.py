@@ -146,6 +146,10 @@ def _certify(condition: bool, claim: str) -> None:
         raise RuntimeError(f"builder self-certification failed: {claim}")
 
 
+def _certify_external(community: int, got: int, want: int) -> None:
+    _certify(got == want, f"community {community} external degree is {want}")
+
+
 def _two_cliques(
     n1: int, n2: int, f1: int, f2: int, cross: list[tuple[int, int]]
 ) -> tuple[Graph, frozenset[int]]:
@@ -159,18 +163,13 @@ def _two_cliques(
 
 
 def _two_communities(
-    g: Graph, n1: int, malicious: frozenset[int], external: int,
-    seed: int, rounds: int, alpha: float,
+    g: Graph, n1: int, malicious: frozenset[int], seed: int, rounds: int, alpha: float,
 ) -> SimulationConfig:
-    """The skeleton every example shares: communities 0..n1-1 and n1..n-1,
-    both certified to external degree bound `external`; legitimate values
-    start at normal(2, 1) and normal(30, 5); malicious agents hold 60."""
+    """The skeleton every example shares: communities 0..n1-1 and n1..n-1;
+    legitimate values start at normal(2, 1) and normal(30, 5); malicious
+    agents hold 60.  Each example certifies its communities' external degree
+    bounds itself, most from the community check that computes them anyway."""
     communities = (frozenset(range(n1)), frozenset(range(n1, g.n)))
-    for i, members in enumerate(communities, start=1):
-        _certify(
-            g.max_external_degree(members) == external,
-            f"community {i} external degree is {external}",
-        )
     return SimulationConfig(
         graph=g,
         layout=CommunityLayout(communities, malicious),
@@ -204,10 +203,11 @@ def example1(
     g, malicious = _two_cliques(
         n1, n2, f1, f2, [(side1[i % 24], side2[i % 25]) for i in range(26)]
     )
-    config = _two_communities(g, n1, malicious, 2, seed, rounds, alpha)
+    config = _two_communities(g, n1, malicious, seed, rounds, alpha)
     layout = config.layout
     for i, members in enumerate(layout.subsets):
         check = robustness.is_community(g, members, layout.malicious_count(i))
+        _certify_external(i + 1, check.external_degree, 2)
         _certify(check.is_community, f"community {i + 1} passes the community predicate")
     return config
 
@@ -238,10 +238,12 @@ def example2(
     edges += [(20, b) for b in four] + [(0, 16)]
     g = Graph(n1 + 9, edges)
     malicious = frozenset(range(n1 - f1, n1)) | {20}
-    config = _two_communities(g, n1, malicious, 1, seed, rounds, alpha)
+    config = _two_communities(g, n1, malicious, seed, rounds, alpha)
     community1, community2 = config.layout.subsets
 
     check1 = robustness.is_community(g, community1, f1)
+    _certify_external(1, check1.external_degree, 1)
+    _certify_external(2, g.max_external_degree(community2), 1)
     _certify(check1.is_community, "community 1 passes the community predicate")
     sub, nodes = g.induced_subgraph(community2)
     _certify(sub.min_degree() == 4, "community 2 induced minimum degree is 4")
@@ -276,17 +278,19 @@ def example3(
     g, malicious = _two_cliques(
         n1, 11, f1, f2, [(0, 23), (0, 24), (1, 24), (1, 25), (2, 25), (2, 23)]
     )
-    config = _two_communities(g, n1, malicious, 2, seed, rounds, alpha)
+    config = _two_communities(g, n1, malicious, seed, rounds, alpha)
     community1, community2 = config.layout.subsets
 
     check1 = robustness.is_community(g, community1, f1)
+    check2 = robustness.is_community(g, community2, f2)
+    _certify_external(1, check1.external_degree, 2)
+    _certify_external(2, check2.external_degree, 2)
     _certify(check1.robust, "community 1 passes the robustness clause")
     _certify(
         check1.reasons == ("degree",) and check1.min_degree == 14
         and check1.required_degree == 15,
         "community 1 fails the degree clause alone, 14 against 15",
     )
-    check2 = robustness.is_community(g, community2, f2)
     _certify(check2.is_community, "community 2 passes the community predicate")
     return config
 

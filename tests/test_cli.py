@@ -152,6 +152,15 @@ class TestCheckCommunities:
         assert capsys.readouterr().out == (
             "community 1: community=yes external=0 min-degree=38 required=7\n")
 
+    def test_degree_decides_community_beyond_the_cap(self, tmp_path, capsys, monkeypatch):
+        # a 30-agent path fails the degree clause (1 < 3) before any enumeration
+        monkeypatch.delenv("COMMCA_CAP", raising=False)
+        gpath = write_graph(tmp_path, Graph(30, [(i, i + 1) for i in range(29)]))
+        cpath = write_communities(tmp_path, CommunityLayout([range(30)]))
+        assert main(["check", gpath, "--communities", cpath, "--community", "1"]) == 1
+        assert capsys.readouterr() == (
+            "community 1: community=no external=0 min-degree=1 required=3 failed=degree\n", "")
+
     def test_communities_must_cover_graph(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, complete_graph(4))
         cpath = write_communities(tmp_path, CommunityLayout([{0, 1}]))

@@ -2,6 +2,7 @@ import os
 import random
 import statistics
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from commca import (
     run,
     step,
 )
-from commca.protocol import MAX_MAGNITUDE
+from commca.protocol import _BLOCK_CELLS, MAX_MAGNITUDE
 
 from reference import random_connected_graph, reference_csv_text, reversed_order_step
 
@@ -784,3 +785,38 @@ class TestTraceCsv:
             assert text == reference_csv_text(trace)
             trace.write_csv(tmp_path / "trace.csv")
             assert (tmp_path / "trace.csv").read_bytes() == text.encode()
+
+    @staticmethod
+    def grid_trace(values, malicious=()):
+        n = values.shape[1]
+        cfg = SimulationConfig(Graph(n), CommunityLayout([range(n)], malicious),
+                               PresetValues((0.0,) * n), None, 0.5, 1, 0)
+        return Trace(values, cfg, (), ())
+
+    @pytest.mark.parametrize("rows,n,repeats", [
+        (5, 3, 11996),  # the repeats' round numbers cross 9->10 ... 9999->10000
+        (5 * (_BLOCK_CELLS // 3) // 2, 3, 1),  # a head of 2.5 writer blocks
+        (1, 3, 11),  # every row equals row 0
+        (_BLOCK_CELLS + 7, 1, 120),  # a single agent
+    ], ids=["tail-crosses-digit-counts", "head-over-blocks", "all-rows-repeat", "one-agent"])
+    def test_writer_edges_match_reference_and_file(self, rows, n, repeats, tmp_path):
+        # distinct rows, then copies of the last one
+        values = np.arange(rows * n).reshape(rows, n) / 7
+        trace = self.grid_trace(np.vstack([values, np.tile(values[-1], (repeats, 1))]),
+                                malicious=[n - 1])
+        text = trace.to_csv_text()
+        assert text == reference_csv_text(trace)
+        trace.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == text.encode()
+
+    def test_writer_memory_stays_bounded(self, tmp_path):
+        # the 5000-round example-1 file is 29 MB; the writer holds a block of
+        # rows at a time, never the repeated tail or every head cell at once
+        trace = run(example1(rounds=5000))
+        tracemalloc.start()
+        try:
+            trace.write_csv(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

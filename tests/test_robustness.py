@@ -502,6 +502,16 @@ class TestCommunityPredicate:
         with pytest.raises(EnumerationCapExceeded):
             is_community(g, range(9), malicious_count=1, cap=5)
 
+    def test_degree_failure_past_the_cap_leaves_robustness_undecided(self):
+        # min-degree 4 against 2 * 2 + 0 + 1 = 5: no enumeration is needed
+        g = split_community_graph()
+        check = is_community(g, range(9), malicious_count=2, cap=5)
+        assert check.robust is None and check.witness is None
+        assert check.reasons == ("degree",) and not check.certified_analytically
+        assert (check.min_degree, check.required_degree) == (4, 5)
+        # under the cap the same community is enumerated and fails both clauses
+        assert is_community(g, range(9), malicious_count=2).reasons == ("robustness", "degree")
+
 
 class TestPairEvaluationInputs:
     def test_overlap_rejected(self):

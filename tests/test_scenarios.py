@@ -188,6 +188,21 @@ def test_builders_construct_each_graph_once(build, sizes, monkeypatch):
     assert built == sizes
 
 
+@pytest.mark.parametrize("build", [example1, example2, example3])
+def test_builders_compute_each_external_degree_once(build, monkeypatch):
+    # the bound is certified from the community check where there is one
+    counts = []
+    external_degrees = Graph.external_degrees
+
+    def counted(self, members):
+        counts.append(frozenset(members))
+        return external_degrees(self, members)
+
+    monkeypatch.setattr(Graph, "external_degrees", counted)
+    cfg = build()
+    assert sorted(counts, key=min) == list(cfg.layout.subsets)
+
+
 class TestInitializerSpec:
     def test_same_seed_reproduces_values(self):
         cfg = example1()

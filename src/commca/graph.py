@@ -4,19 +4,34 @@ share.
 
 Agents are integers 0..n-1.  Graphs are immutable once built and neighbor
 iteration is sorted by id, so every downstream computation sees the same
-deterministic order.  A graph stores only its sorted neighbor rows; edge
-sets, edge lookups and bitmasks are derived from them on each call.  Graph()
-is the one place an edge is checked: add_cross_edges and read_graph rely on it.
+deterministic order.  A graph is stored in compressed sparse row (CSR) form,
+as two read-only numpy int64 arrays: `indices` holds every agent's neighbors
+in ascending id order, row after row, and row u is
+indices[indptr[u]:indptr[u + 1]].  Edge sets, edge lookups (searchsorted),
+degrees, external degrees, induced subgraphs and bitmasks are derived from
+them with numpy on each call, and every id a view returns is a Python int.
+Graph() is the one place an edge is checked: it checks all edges at once and
+names the first bad one in input order, which add_cross_edges and read_graph
+rely on.
+
+Text is read line by line, and only '\n' ends a line, so the line numbers in
+error messages are those of `grep -n`.  The graph section and the adversary
+table are tokenized in bulk, with Python's int() and float() applied to the
+whole token list, and an error names the first bad line in document order.
 """
 
 from __future__ import annotations
 
-import bisect
+import operator
 import os
 from typing import Iterable, NamedTuple
 
-# Bytes a declared agent costs while its graph is built (an adjacency list,
-# then a tuple slot): 80 per agent at n = 10^6 and 4 * 10^6, Python 3.11.
+import numpy as np
+
+# Bytes a declared agent may cost while its graph is built, checked before
+# anything is allocated: 80 per agent, measured at n = 10^6 and 4 * 10^6 on
+# Python 3.11 for adjacency lists of tuples, a bound the CSR arrays (about
+# 16 bytes an agent while they are built) stay well under.
 _AGENT_BYTES = 80
 
 
@@ -31,65 +46,162 @@ class FormatError(ValueError):
     """Raised when a graph or community text document does not parse."""
 
 
+class _BadEdge(ValueError):
+    """The first bad edge of an edge list; index is its position in the list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def id_array(ids: list) -> np.ndarray:
+    """Integer ids, or lists of them, as an int64 array, or as an object
+    array of Python ints (which compare exactly) when some id is beyond int64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
+def _pair_array(edges) -> np.ndarray:
+    """The edges as a (k, 2) array."""
+    pairs = edges if isinstance(edges, np.ndarray) else id_array(list(edges))
+    if pairs.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    return pairs if pairs.dtype.kind in "iuO" else pairs.astype(np.int64)
+
+
+def _csr(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of the graph on n agents with edges `pairs`;
+    raises _BadEdge for the first self-loop, out-of-range end or repeat."""
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise _first_bad_edge(n, pairs)
+    pairs, m = pairs.astype(np.int64, copy=False), max(n, 1)
+    # each edge in both directions as the key agent * m + neighbor, ascending;
+    # a self-loop's two keys are equal, as a repeated edge's are
+    both = (pairs * m + pairs[:, ::-1]).ravel()
+    both.sort()
+    if (both[1:] == both[:-1]).any():
+        raise _first_bad_edge(n, pairs)
+    return both.searchsorted(np.arange(0, (n + 1) * m, m)), both % m
+
+
+def _first_bad_edge(n: int, pairs: np.ndarray) -> _BadEdge:
+    """The error for the first edge of `pairs`, in input order, that is a
+    self-loop, has an end outside 0..n-1 or repeats an earlier edge."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    broken = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    fine = np.flatnonzero(~broken)
+    good = pairs[fine].astype(np.int64)
+    keys = good.min(axis=1) * n + good.max(axis=1)
+    order = np.argsort(keys, kind="stable")  # a repeat sorts after its first
+    keys = keys[order]
+    again = fine[order[1:][keys[1:] == keys[:-1]]]
+    first = int(np.concatenate([np.flatnonzero(broken)[:1], again]).min())
+    a, b = int(u[first]), int(v[first])
+    if a == b:
+        return _BadEdge(first, f"self-loop on agent {a}")
+    if not (0 <= a < n and 0 <= b < n):
+        return _BadEdge(first, f"edge ({a}, {b}) outside agent range 0..{n - 1}")
+    return _BadEdge(first, f"duplicate edge {(min(a, b), max(a, b))}")
+
+
+def _rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the rows of `nodes`, row after row: each entry's row
+    (an index into nodes) and its position in indices; and each row's length."""
+    starts = indptr[nodes]
+    lengths = indptr[nodes + 1] - starts
+    row = np.arange(nodes.size).repeat(lengths)
+    # an entry's position is its place in the result shifted by its row's start
+    return row, np.arange(row.size) + (starts - lengths.cumsum() + lengths)[row], lengths
+
+
 class Graph:
-    """Immutable undirected simple graph on agents 0..n-1."""
+    """Immutable undirected simple graph on agents 0..n-1, stored as CSR arrays."""
 
-    __slots__ = ("_n", "_adj")
+    __slots__ = ("_indptr", "_indices")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
+        """`edges` is an iterable of (u, v) pairs or a (k, 2) integer array."""
+        n = operator.index(n)
         if n < 0:
             raise ValueError("agent count must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop on agent {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside agent range 0..{n - 1}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        self._n = n
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        indptr, indices = _csr(n, _pair_array(edges))
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self._indptr, self._indices = indptr, indices
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._indptr) - 1
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row offsets, n + 1 of them (read-only)."""
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Every agent's neighbors in ascending id order, row after row (read-only)."""
+        return self._indices
+
+    def _sources(self) -> np.ndarray:
+        """The agent whose row holds each entry of indices."""
+        return np.repeat(np.arange(self.n), np.diff(self._indptr))
+
+    def _pairs(self) -> np.ndarray:
+        """The edges as a (k, 2) array of (u, v) with u < v, in ascending order."""
+        src = self._sources()
+        up = self._indices > src
+        return np.column_stack([src[up], self._indices[up]])
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Edge set as (u, v) pairs with u < v."""
-        return frozenset((u, v) for u, row in enumerate(self._adj) for v in row if v > u)
+        return frozenset(map(tuple, self._pairs().tolist()))
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbors of u in ascending id order."""
         self._check_agent(u)
-        return self._adj[u]
+        return tuple(self._indices[self._indptr.item(u):self._indptr.item(u + 1)].tolist())
 
     def degree(self, u: int) -> int:
         self._check_agent(u)
-        return len(self._adj[u])
+        return self._indptr.item(u + 1) - self._indptr.item(u)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_agent(u)
         self._check_agent(v)
-        row = self._adj[u]
-        i = bisect.bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        row = self._indices[self._indptr.item(u):self._indptr.item(u + 1)]
+        i = row.searchsorted(v)
+        return bool(i < row.size and row[i] == v)
+
+    def edge_positions(self, u, v) -> np.ndarray:
+        """For id arrays u and v within 0..n-1: where each v sits in u's row,
+        as a position in indices, or -1 where u and v are not adjacent."""
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        keys = self._sources() * self.n + self._indices  # ascending
+        want = u * self.n + v
+        at = np.minimum(keys.searchsorted(want), max(keys.size - 1, 0))
+        hit = keys[at] == want if keys.size else np.zeros(want.shape, dtype=bool)
+        return np.where(hit, at, -1)
 
     def min_degree(self) -> int:
-        if self._n == 0:
+        if self.n == 0:
             raise ValueError("minimum degree of an empty graph is undefined")
-        return min(len(a) for a in self._adj)
+        return int(np.diff(self._indptr).min())
 
     def external_degrees(self, members: Iterable[int]) -> dict[int, int]:
-        """Number of edges each member has to agents outside `members`."""
-        inside = self._check_members(members)
-        return {u: sum(1 for v in self._adj[u] if v not in inside) for u in inside}
+        """Number of edges each member has to agents outside `members`, in
+        ascending member order."""
+        nodes = self._check_members(members)
+        inside = np.zeros(self.n, dtype=bool)
+        inside[nodes] = True
+        row, at, lengths = _rows(self._indptr, nodes)
+        inner = np.bincount(row[inside[self._indices[at]]], minlength=nodes.size)
+        return dict(zip(nodes.tolist(), (lengths - inner).tolist()))
 
     def max_external_degree(self, members: Iterable[int]) -> int:
         """Largest number of edges any member has to agents outside `members`."""
@@ -97,47 +209,48 @@ class Graph:
 
     def induced_subgraph(self, members: Iterable[int]) -> "InducedSubgraph":
         """Subgraph on `members`, relabeled 0..k-1 in ascending original id order."""
-        inside = self._check_members(members)
-        nodes = tuple(sorted(inside))
-        index = {orig: new for new, orig in enumerate(nodes)}
-        edges = [
-            (i, index[v])
-            for i, u in enumerate(nodes)
-            for v in self._adj[u]
-            if v > u and v in index
-        ]
-        return InducedSubgraph(Graph(len(nodes), edges), nodes)
+        nodes = self._check_members(members)
+        index = np.full(self.n, -1, dtype=np.int64)
+        index[nodes] = np.arange(nodes.size)
+        row, at, _ = _rows(self._indptr, nodes)
+        new = index[self._indices[at]]
+        up = new > row  # a member neighbor, each edge once
+        sub = Graph(nodes.size, np.array([row[up], new[up]]).T)
+        return InducedSubgraph(sub, tuple(nodes.tolist()))
 
     def is_complete(self) -> bool:
-        return all(len(row) == self._n - 1 for row in self._adj)
+        return bool(np.all(np.diff(self._indptr) == self.n - 1))
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-agent neighbor sets as bitmasks (bit v set iff v is a neighbor)."""
-        return tuple(sum(1 << v for v in row) for row in self._adj)
+        ids, ptr = self._indices.tolist(), self._indptr.tolist()
+        return tuple(sum(map((1).__lshift__, ids[a:b])) for a, b in zip(ptr, ptr[1:]))
 
     def _check_agent(self, u: int) -> None:
-        if not (0 <= u < self._n):
-            raise ValueError(f"agent id {u} outside 0..{self._n - 1}")
+        if not (0 <= u < self.n):
+            raise ValueError(f"agent id {u} outside 0..{self.n - 1}")
 
-    def _check_members(self, members: Iterable[int]) -> frozenset[int]:
-        inside = frozenset(int(u) for u in members)
-        if not inside:
+    def _check_members(self, members: Iterable[int]) -> np.ndarray:
+        """The member ids, sorted and without repeats."""
+        ids = sorted(set(map(int, members)))
+        if not ids:
             raise ValueError("member set must be non-empty")
-        bad = [u for u in inside if not (0 <= u < self._n)]
-        if bad:
-            raise ValueError(f"member ids outside 0..{self._n - 1}: {sorted(bad)}")
-        return inside
+        if ids[0] < 0 or ids[-1] >= self.n:
+            bad = [u for u in ids if not 0 <= u < self.n]
+            raise ValueError(f"member ids outside 0..{self.n - 1}: {bad}")
+        return np.array(ids, dtype=np.int64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        return (np.array_equal(self._indptr, other._indptr)
+                and np.array_equal(self._indices, other._indices))
 
     def __hash__(self) -> int:
-        return hash(self._adj)
+        return hash((self._indptr.tobytes(), self._indices.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self._n}, edges={sum(map(len, self._adj)) // 2})"
+        return f"Graph(n={self.n}, edges={self._indices.size // 2})"
 
 
 class InducedSubgraph(NamedTuple):
@@ -154,14 +267,12 @@ def complete_graph(n: int) -> Graph:
     """Complete graph on n >= 1 agents."""
     if n < 1:
         raise ValueError("complete graph needs at least one agent")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """One graph holding a copy of `a` and a copy of `b` shifted by a.n."""
-    shift = a.n
-    edges = list(a.edges) + [(u + shift, v + shift) for u, v in b.edges]
-    return Graph(a.n + b.n, edges)
+    return Graph(a.n + b.n, np.concatenate([a._pairs(), b._pairs() + a.n]))
 
 
 def add_cross_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -170,7 +281,7 @@ def add_cross_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
     Graph checks the pairs after g's own edges, so a self-loop, an edge
     already present or a pair repeated in the input is its ValueError.
     """
-    return Graph(g.n, [*g.edges, *pairs])
+    return Graph(g.n, np.concatenate([g._pairs(), _pair_array(pairs)]))
 
 
 class CommunityLayout:
@@ -272,9 +383,10 @@ class CommunityLayout:
 
 def content_lines(text: str) -> list[tuple[int, str]]:
     """The stripped lines of `text` with their 1-based line numbers, minus
-    blank lines and lines starting with '#'."""
-    numbered = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
-    return [(lineno, line) for lineno, line in numbered if line and not line.startswith("#")]
+    blank lines and lines starting with '#'.  Only '\n' ends a line; the
+    '\r' of a CRLF ending is stripped with the rest of the whitespace."""
+    lines = map(str.strip, text.split("\n"))
+    return [item for item in enumerate(lines, start=1) if item[1] and item[1][0] != "#"]
 
 
 def read_int(lineno: int, token: str, what: str = "integer") -> int:
@@ -284,8 +396,37 @@ def read_int(lineno: int, token: str, what: str = "integer") -> int:
         raise FormatError(f"line {lineno}: bad {what} {token!r}") from None
 
 
+def parse_tokens(kind, tokens: list[str]) -> tuple[list, int]:
+    """kind(token) for each token up to the first that kind rejects with a
+    ValueError, and that token's index (len(tokens) when none is rejected)."""
+    try:
+        return list(map(kind, tokens)), len(tokens)
+    except ValueError:
+        for i, token in enumerate(tokens):  # only a document with an error gets here
+            try:
+                kind(token)
+            except ValueError:
+                return list(map(kind, tokens[:i])), i
+        raise
+
+
+def split_lines(lines: list[tuple[int, str]], width: int) -> tuple[list[str], int]:
+    """The index of the first numbered line whose token count is not `width`
+    (len(lines) when there is none), and the tokens of the lines before it."""
+    texts = list(map(operator.itemgetter(1), lines))
+    counts = list(map(len, map(str.split, texts)))
+    stop = len(counts)
+    if counts.count(width) != stop:
+        stop = next(i for i, c in enumerate(counts) if c != width)
+    return " ".join(texts[:stop]).split(), stop
+
+
 def read_graph(lines: list[tuple[int, str]]) -> Graph:
-    """Read numbered graph lines: `n <count>`, then one `u v` per edge."""
+    """Read numbered graph lines: `n <count>`, then one `u v` per edge.
+
+    The edge lines are split and converted in bulk.  The first line that is
+    not two integers or holds a bad edge is reported, by its line number.
+    """
     if not lines:
         raise FormatError("missing 'n <count>' line")
     (lineno, line), edge_lines = lines[0], lines[1:]
@@ -296,21 +437,20 @@ def read_graph(lines: list[tuple[int, str]]) -> Graph:
     if n * _AGENT_BYTES > physical_memory():  # refused before anything is allocated
         raise MemoryError(f"{n} agents need about {n * _AGENT_BYTES} bytes")
 
-    def pairs():  # notes the line it is on, so that any error can name it
-        nonlocal lineno
-        for lineno, line in edge_lines:
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ValueError(f"expected 'u v', got {line!r}")
-            try:
-                yield int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ValueError(f"bad edge {line!r}") from None
-
+    tokens, stop = split_lines(edge_lines, 2)
+    ids, bad = parse_tokens(int, tokens)
+    parsed = bad // 2  # lines before the first bad token or token count
     try:
-        return Graph(n, pairs())
-    except ValueError as exc:
+        g = Graph(n, id_array(ids[: 2 * parsed]).reshape(-1, 2))
+    except _BadEdge as exc:
+        raise FormatError(f"line {edge_lines[exc.index][0]}: {exc}") from None
+    except ValueError as exc:  # the agent count itself
         raise FormatError(f"line {lineno}: {exc}") from None
+    if parsed < len(edge_lines):
+        lineno, line = edge_lines[parsed]
+        what = f"expected 'u v', got {line!r}" if parsed == stop else f"bad edge {line!r}"
+        raise FormatError(f"line {lineno}: {what}")
+    return g
 
 
 def parse_graph(text: str) -> Graph:
@@ -324,13 +464,8 @@ def parse_graph(text: str) -> Graph:
 def format_graph(g: Graph) -> str:
     """The plain graph format, one `u v` line per edge with u < v, in
     ascending (u, v) order."""
-    lines = [f"n {g.n}"]
-    for u in range(g.n):
-        row = g.neighbors(u)
-        higher = row[bisect.bisect_right(row, u):]
-        if higher:  # u's lines, joined as one block
-            lines.append(f"{u} " + f"\n{u} ".join(map(str, higher)))
-    return "\n".join(lines) + "\n"
+    pairs = g._pairs()
+    return f"n {g.n}\n" + ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist())
 
 
 def read_ids(lineno: int, tokens: list[str]) -> list[int]:

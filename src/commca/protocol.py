@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, compress
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -190,14 +190,24 @@ class SimulationConfig:
         if self.layout.malicious and self.adversary is None:
             problems.append("malicious agents present but no adversary strategy given")
         elif self.adversary is not None:
-            ids = range(self.graph.n)
-            stray = sorted(k for k in self.adversary.overrides if k[0] not in self.layout.malicious
-                           or not (k[0] in ids and k[1] in ids and self.graph.has_edge(*k)))
+            keys = list(self.adversary.overrides)
+            stray = sorted(compress(keys, (~self._on_malicious_edges(keys)).tolist()))
             if stray:
                 problems.append(f"table entries not on an edge from a malicious agent: {stray}")
         if self.initializer is None:
             problems.append("no initializer given")
         return problems
+
+    def _on_malicious_edges(self, keys: list[tuple[int, int]]) -> np.ndarray:
+        """Whether each (agent, neighbor) key is an edge of the graph from a
+        malicious agent, checked for all keys at once."""
+        n = self.graph.n
+        pairs = graph.id_array(list(chain.from_iterable(keys))).reshape(-1, 2)
+        inside = ((pairs >= 0) & (pairs < n)).all(axis=1)
+        agent, neighbor = np.where(inside[:, None], pairs, 0).astype(np.int64).T
+        malicious = np.zeros(n + 1, dtype=bool)  # a spare slot keeps an empty graph indexable
+        malicious[[u for u in self.layout.malicious if 0 <= u < n]] = True
+        return inside & malicious[agent] & (self.graph.edge_positions(agent, neighbor) >= 0)
 
     def validate(self) -> None:
         problems = self.validation_problems()
@@ -359,36 +369,50 @@ def run(config: SimulationConfig) -> Trace:
     if bad.size:
         raise ConfigError([f"initial values not finite or beyond 1e300: agents {bad.tolist()}"])
 
+    mal_arr = np.array(sorted(layout.malicious), dtype=np.intp)
+    is_malicious = np.zeros(n, dtype=bool)
+    is_malicious[mal_arr] = True
+    legit = np.flatnonzero(~is_malicious)  # legitimate and malicious agents are all agents
     # A legitimate agent's row is padded to the even width 2 * h of its class,
     # h the least power of two with 2 * h >= its degree: under twice the degree
-    # plus one, and at most log2(max degree) + 1 classes, one sort each a round
-    half = {u: 1 << ((g.degree(u) + 1) // 2 - 1).bit_length() for u in layout.legitimate}
-    legit_arr = np.array(sorted(half, key=lambda u: (half[u], u)), dtype=np.intp)
+    # plus one, and at most log2(max degree) + 1 classes, one sort each a round.
+    # frexp's exponent is the bit length of an integer below 2^53.
+    deg = np.diff(g.indptr)
+    half = 1 << np.frexp((deg[legit] + 1) // 2 - 1)[1].astype(np.int64)
+    by_class = np.argsort(half, kind="stable")
+    legit_arr, half = legit[by_class], half[by_class]
     # the trace, a bool flag per agent and round, the padded rows and two copies
-    if 8 * (T + 1) * n + legit_arr.size * T + 48 * sum(half.values()) > graph.physical_memory():
+    if 8 * (T + 1) * n + legit_arr.size * T + 48 * int(half.sum()) > graph.physical_memory():
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     # no adversary behaves like a script that no agent shows
     adversary = config.adversary or AdversaryStrategy((0.0,))
-    mal_arr = np.array(sorted(layout.malicious), dtype=np.intp)
     # shown[t] is what every malicious agent displays at round t
     script = np.array(adversary.script, dtype=np.float64)
     shown = script[np.minimum(np.arange(T + 1), script.size - 1)]
     # p[:n] is what each agent presents by default; each fixed override gets
-    # a slot of its own after those, and the last two slots hold the pads
+    # a slot of its own after those, and the last two slots hold the pads.
+    # source[k] is the slot of indices[k], which is k's neighbor itself unless
+    # an override fixes what that neighbor presents to the row's agent.
     overrides = adversary.overrides
-    slot = {key: n + k for k, key in enumerate(overrides)}
-    p = np.array([0.0] * n + list(overrides.values()) + [-np.inf, np.inf])
+    p = np.concatenate([np.zeros(n), np.fromiter(overrides.values(), np.float64, len(overrides)),
+                        [-np.inf, np.inf]])
+    source = g.indices.copy()
+    keys = np.fromiter(chain.from_iterable(overrides), np.int64, 2 * len(overrides)).reshape(-1, 2)
+    source[g.edge_positions(keys[:, 1], keys[:, 0])] = n + np.arange(len(keys))
 
     # -inf pads on the left, +inf on the right and one more +inf for odd
     # degree put the median at column h - 1 (odd degree) or make it the mean
-    # of columns h - 1 and h (even degree); a class is a run of legit_arr
+    # of columns h - 1 and h (even degree); a class is a run of legit_arr.
+    # j[r, c] is the place in its row of the entry at column c of row r.
     classes = []
-    for h, grp in groupby(legit_arr.tolist(), key=half.get):
-        us = list(grp)
-        idx = [[-2] * (h - (g.degree(u) + 1) // 2) + [slot.get((v, u), v) for v in g.neighbors(u)]
-               for u in us]
-        idx = np.array([r + [-1] * (2 * h - len(r)) for r in idx], dtype=np.intp)
-        classes.append((h, idx, np.array([g.degree(u) % 2 == 0 for u in us])))
+    for h in np.unique(half).tolist():
+        us = legit_arr[half == h]
+        d = deg[us]
+        j = np.arange(2 * h) - (h - (d + 1) // 2)[:, None]
+        idx = np.where(j < 0, -2, -1)
+        row = (j >= 0) & (j < d[:, None])
+        idx[row] = source[(g.indptr[us][:, None] + j)[row]]
+        classes.append((h, idx, d % 2 == 0))
 
     rows = np.empty((T + 1, n), dtype=np.float64)
     rows[0] = x0

@@ -33,7 +33,9 @@ order), malicious agents take the constant.  The second parameter of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress, count
 
 import numpy as np
 
@@ -43,12 +45,14 @@ from .graph import (
     Graph,
     content_lines,
     format_graph,
+    parse_tokens,
     read_graph,
     read_ids,
     read_indexed,
     read_int,
     read_malicious,
     read_members,
+    split_lines,
 )
 from .protocol import (
     AdversaryStrategy,
@@ -151,14 +155,14 @@ def _certify_external(community: int, got: int, want: int) -> None:
 
 
 def _two_cliques(
-    n1: int, n2: int, f1: int, f2: int, cross: list[tuple[int, int]]
+    n1: int, n2: int, f1: int, f2: int, cross: list[tuple[int, int]] | np.ndarray
 ) -> tuple[Graph, frozenset[int]]:
     """Complete graphs on n1 and n2 agents side by side plus the `cross`
-    edges, built as one graph from one edge list, with the last f1 and the
+    edges, built as one graph from one edge array, with the last f1 and the
     last f2 agents of each malicious."""
-    edges = [(u, v) for lo, hi in ((0, n1), (n1, n1 + n2))
-             for u in range(lo, hi) for v in range(u + 1, hi)]
-    g = Graph(n1 + n2, edges + cross)
+    first, second = (np.column_stack(np.triu_indices(size, 1)) + lo
+                     for lo, size in ((0, n1), (n1, n2)))
+    g = Graph(n1 + n2, np.concatenate([first, second, np.reshape(cross, (-1, 2))]))
     return g, frozenset(range(n1 - f1, n1)) | frozenset(range(n1 + n2 - f2, n1 + n2))
 
 
@@ -198,10 +202,11 @@ def example1(
     _require_seed(seed)
     n1, n2, f1, f2 = 123, 35, 20, 10
     rng = np.random.Generator(np.random.PCG64(seed))  # shuffles each side's legitimate ids
-    side1 = [int(u) for u in rng.permutation(range(n1 - f1))]
-    side2 = [int(u) for u in rng.permutation(range(n1, n1 + n2 - f2))]
+    side1 = rng.permutation(range(n1 - f1))
+    side2 = rng.permutation(range(n1, n1 + n2 - f2))
+    edge = np.arange(26)
     g, malicious = _two_cliques(
-        n1, n2, f1, f2, [(side1[i % 24], side2[i % 25]) for i in range(26)]
+        n1, n2, f1, f2, np.column_stack([side1[edge % 24], side2[edge % 25]])
     )
     config = _two_communities(g, n1, malicious, seed, rounds, alpha)
     layout = config.layout
@@ -298,21 +303,20 @@ def example3(
 EXAMPLES = {1: example1, 2: example2, 3: example3}
 
 
-_SECTIONS = ("graph", "communities", "malicious", "init", "protocol", "adversary")
+_SECTIONS = frozenset(("graph", "communities", "malicious", "init", "protocol", "adversary"))
 
 
 def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
+    lines = content_lines(text)
+    heads = list(compress(count(), map(_SECTIONS.__contains__, map(operator.itemgetter(1), lines))))
+    if lines and heads[:1] != [0]:
+        raise FormatError(f"line {lines[0][0]}: content before any section header")
     sections: dict[str, list[tuple[int, str]]] = {}
-    current: list[tuple[int, str]] | None = None
-    for lineno, line in content_lines(text):
-        if line in _SECTIONS:
-            if line in sections:
-                raise FormatError(f"line {lineno}: repeated section {line!r}")
-            current = sections[line] = []
-            continue
-        if current is None:
-            raise FormatError(f"line {lineno}: content before any section header")
-        current.append((lineno, line))
+    for k, end in zip(heads, heads[1:] + [len(lines)]):
+        lineno, line = lines[k]
+        if line in sections:
+            raise FormatError(f"line {lineno}: repeated section {line!r}")
+        sections[line] = lines[k + 1:end]
     return sections
 
 
@@ -417,21 +421,47 @@ def _parse_adversary_section(lines: list[tuple[int, str]]) -> AdversaryStrategy:
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'table <default>'")
         default = _parse_float(lineno, tokens[1])
-        entries: dict[tuple[int, int], float] = {}
-        for entry_lineno, line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(
-                    f"line {entry_lineno}: expected '<agent> <neighbor> <value>'"
-                )
-            agent, neighbor = read_ids(entry_lineno, parts[:2])
-            if (agent, neighbor) in entries:
-                raise FormatError(
-                    f"line {entry_lineno}: repeated table entry {agent} {neighbor}"
-                )
-            entries[agent, neighbor] = _parse_float(entry_lineno, parts[2])
-        return _build(lineno, PerNeighborTable, entries, default)
+        return _build(lineno, PerNeighborTable, _read_table(lines[1:]), default)
     raise FormatError(f"line {lineno}: unknown adversary kind {kind!r}")
+
+
+def _first_repeat(keys: list) -> int:
+    """Index of the first key equal to an earlier one, len(keys) if none is."""
+    if len(set(keys)) < len(keys):  # only a document with an error gets here
+        seen = set()
+        for i, key in enumerate(keys):
+            if key in seen:
+                return i
+            seen.add(key)
+    return len(keys)
+
+
+def _read_table(lines: list[tuple[int, str]]) -> dict[tuple[int, int], float]:
+    """The `<agent> <neighbor> <value>` lines of a table, tokenized and
+    converted in bulk.  The first bad line is reported as a line-by-line
+    reader would: its token count, then its ids (integers, not equal), then
+    a repeat of an earlier entry, then its value."""
+    tokens, stop = split_lines(lines, 3)
+    agents, bad_agent = parse_tokens(int, tokens[0::3])
+    neighbors, bad_neighbor = parse_tokens(int, tokens[1::3])
+    values, bad_value = parse_tokens(float, tokens[2::3])
+    ids = min(bad_agent, bad_neighbor)  # lines whose ids are integers
+    same = next(compress(count(), map(operator.eq, agents[:ids], neighbors[:ids])), ids)
+    keys = list(zip(agents[:same], neighbors[:same]))
+    fine = _first_repeat(keys)  # lines before it pass every check but their value's
+    if bad_value < fine:
+        raise FormatError(f"line {lines[bad_value][0]}: bad number {tokens[3 * bad_value + 2]!r}")
+    if fine < len(lines):
+        lineno = lines[fine][0]
+        if fine < same:
+            agent, neighbor = keys[fine]
+            raise FormatError(f"line {lineno}: repeated table entry {agent} {neighbor}")
+        if same < ids:
+            raise FormatError(f"line {lineno}: ids listed twice: [{agents[same]}]")
+        if ids < stop:
+            raise FormatError(f"line {lineno}: bad id list {' '.join(tokens[3 * ids:3 * ids + 2])!r}")
+        raise FormatError(f"line {lineno}: expected '<agent> <neighbor> <value>'")
+    return dict(zip(keys, values))
 
 
 def load_scenario(text: str) -> SimulationConfig:
@@ -526,9 +556,7 @@ def read_scenario(text: str) -> tuple[SimulationConfig, list[str]]:
 def format_scenario(config: SimulationConfig) -> str:
     """Serialize a config as a scenario document; load_scenario inverts this."""
     g, layout = config.graph, config.layout
-    lines = ["graph"]
-    lines.extend(format_graph(g).splitlines())
-    lines.append("communities")
+    lines = ["communities"]
     for i, subset in enumerate(layout.subsets, start=1):
         lines.append(f"community {i}: " + " ".join(str(u) for u in sorted(subset)))
     for i, subset in enumerate(layout.subsets, start=1):
@@ -565,4 +593,4 @@ def format_scenario(config: SimulationConfig) -> str:
             lines.append(f"constant {adversary.script[0]!r}")
         else:
             lines.append("script " + " ".join(repr(v) for v in adversary.script))
-    return "\n".join(lines) + "\n"
+    return "graph\n" + format_graph(g) + "\n".join(lines) + "\n"

@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,15 @@ class TestCheckErrors:
 
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt"), "--rs", "0", "1"]) == 2
+
+    @pytest.mark.parametrize("text", [b"n 3\n0 1\x0c\n2 2\n", b"n 3\r\n0 1\r\n2 2\r\n"],
+                             ids=["form-feed", "crlf"])
+    def test_bad_edge_line_is_the_line_grep_shows(self, tmp_path, capsys, text):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(text)
+        assert main(["check", str(path), "--r", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: line 3: self-loop on agent 2\n")
 
     def test_cap_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COMMCA_CAP", "4")
@@ -620,6 +630,31 @@ class TestProcessExitCodes:
         path = write_graph(tmp_path, Graph(23, [(i, i + 1) for i in range(22)]))
         done = self.commca("check", path, "--r", "0")
         assert done.returncode == 3 and "exceeds the cap of 22" in done.stderr
+
+
+class TestNoNumpyScalarsInOutput:
+    def test_outputs_and_messages_show_python_ints(self, tmp_path, capsys):
+        # built from int32 arrays: a 4-cycle with a chord beside one more edge
+        edges = np.array([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5)], dtype=np.int32)
+        path = write_graph(tmp_path, Graph(np.int32(6), edges))
+        communities = tmp_path / "communities.txt"
+        communities.write_text("community 1: 0 1 2 3 4 5\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("n 3\n0 1\n1 0\n")
+        out = tmp_path / "out"
+        codes = [
+            main(["check", path, "--rs", "1", "1"]),
+            main(["check", path, "--community", "0", "--communities", str(communities)]),
+            main(["scenario", "--example", "1"]),
+            main(["run", "--example", "2", "--rounds", "20", "--window", "5", "--out", str(out)]),
+            main(["check", str(bad), "--r", "1"]),
+        ]
+        captured = capsys.readouterr()
+        assert codes == [1, 1, 0, 1, 2]
+        assert "error: line 3: duplicate edge (0, 1)\n" in captured.err
+        for text in (captured.out, captured.err, (out / "scenario.txt").read_text(),
+                     (out / "verdict.txt").read_text()):
+            assert "np." not in text
 
 
 # tokens that a hand-edited file or command line might hold, valid or not

@@ -1,6 +1,8 @@
 import random
 import re
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,9 @@ from commca import (
     disjoint_union,
     format_communities,
     format_graph,
+    format_witness,
+    is_community,
+    is_rs_excess_robust,
     parse_communities,
     parse_graph,
 )
@@ -385,3 +390,116 @@ class TestCommunityFiles:
     def test_repeated_declarations_name_their_line(self, text, message):
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             parse_communities(text)
+
+
+class TestLineNumbering:
+    """Only '\n' ends a line, so an error names the line `grep -n` shows."""
+
+    @pytest.mark.parametrize(
+        "brk", ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["form-feed", "vtab", "fs", "gs", "rs", "nel", "line-sep", "para-sep"],
+    )
+    def test_other_break_characters_stay_inside_their_line(self, brk):
+        with pytest.raises(FormatError, match=r"^line 3: self-loop on agent 2$"):
+            parse_graph(f"n 3\n0 1{brk}\n2 2\n")
+        # inside a line the character separates tokens, as whitespace does
+        assert parse_graph(f"n 3\n0{brk}1\n") == Graph(3, [(0, 1)])
+
+    def test_crlf_endings_count_each_line_once(self):
+        with pytest.raises(FormatError, match=r"^line 3: self-loop on agent 2$"):
+            parse_graph("n 3\r\n0 1\r\n2 2\r\n")
+        assert parse_graph("# crlf\r\nn 3\r\n0 1\r\n\r\n1 2\r\n") == Graph(3, [(0, 1), (1, 2)])
+
+    def test_community_files_number_lines_the_same_way(self):
+        with pytest.raises(FormatError, match=r"^line 2: community 1 listed twice$"):
+            parse_communities("community 1: 0 1\x0c\ncommunity 1: 2\n")
+        with pytest.raises(FormatError, match=r"^line 2: community 1 listed twice$"):
+            parse_communities("community 1: 0 1\r\ncommunity 1: 2\r\n")
+
+
+# One graph, built four ways: six agents, a 4-cycle with a chord plus a
+# separate edge, so that robustness checks fail with a witness.
+LEAK_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5)]
+LEAK_SOURCES = {
+    "list": lambda: Graph(6, LEAK_EDGES),
+    "int32": lambda: Graph(np.int32(6), np.array(LEAK_EDGES, dtype=np.int32)),
+    "int64": lambda: Graph(np.int64(6), np.array(LEAK_EDGES, dtype=np.int64)),
+    "text": lambda: parse_graph("n 6\n" + "".join(f"{v} {u}\n" for u, v in LEAK_EDGES)),
+}
+
+
+def all_python_ints(values) -> bool:
+    return all(type(x) is int for x in values)
+
+
+@pytest.mark.parametrize("source", sorted(LEAK_SOURCES))
+class TestPythonValuesOut:
+    """Whatever a graph is built from, its views hand out Python ints and
+    bools, and no message or output shows a numpy scalar."""
+
+    def test_views_return_python_ints(self, source):
+        g = LEAK_SOURCES[source]()
+        members = np.array([0, 1, 4], dtype=np.int32)
+        sub = g.induced_subgraph(members)
+        assert g == Graph(6, LEAK_EDGES)
+        assert all_python_ints([g.n, g.degree(0), g.min_degree(), g.max_external_degree(members)])
+        assert all_python_ints(chain.from_iterable(g.neighbors(u) for u in range(g.n)))
+        assert all_python_ints(chain.from_iterable(g.edges))
+        assert all_python_ints(chain.from_iterable(g.external_degrees(members).items()))
+        assert all_python_ints(sub.nodes) and all_python_ints(chain.from_iterable(sub.graph.edges))
+        assert all_python_ints(g.neighbor_masks())
+        assert type(g.has_edge(0, 1)) is bool and type(g.is_complete()) is bool
+        assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
+
+    def test_witness_ids_are_python_ints(self, source):
+        g = LEAK_SOURCES[source]()
+        witness = is_rs_excess_robust(g, 1, 1)
+        check = is_community(g, range(6), 0)
+        assert not witness.robust and check.witness is not None
+        for w in (witness, check.witness):
+            for rep in w.reports:
+                assert all_python_ints(chain(rep.subset, rep.reachable, rep.excess_by_agent,
+                                             rep.excess_by_agent.values()))
+            assert "np." not in format_witness(w)
+
+    def test_messages_show_no_numpy_scalars(self, source):
+        g = LEAK_SOURCES[source]()
+        dtype = np.int32 if source == "int32" else np.int64
+        bad_edges = [[[0, 0]], [[0, 9]], [[0, 1], [1, 0]]]
+        for edges in bad_edges:
+            with pytest.raises(ValueError) as exc:
+                Graph(3, np.array(edges, dtype=dtype))
+            assert "np." not in str(exc.value)
+        for call in (lambda: g.induced_subgraph(np.array([0, 9], dtype=dtype)),
+                     lambda: g.external_degrees(np.array([-1], dtype=dtype)),
+                     lambda: g.neighbors(np.int32(7))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert "np." not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 3\n0 99999999999999999999\n",
+         "line 2: edge (0, 99999999999999999999) outside agent range 0..2"),
+        ("n 3\n0 1\n1 18446744073709551615\n",
+         "line 3: edge (1, 18446744073709551615) outside agent range 0..2"),
+        ("n 3\n-9223372036854775809 1\n0 0\n",
+         "line 2: edge (-9223372036854775809, 1) outside agent range 0..2"),
+    ],
+    ids=["beyond-uint64", "uint64-range", "below-int64"],
+)
+def test_ids_beyond_int64_are_named_as_written(text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_graph(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.partition(': ')[2])}$"):
+        Graph(3, [tuple(map(int, line.split())) for line in text.splitlines()[1:]])
+
+
+def test_first_repeat_in_input_order_is_named_not_the_least_edge():
+    # both (2, 3) and (0, 1) repeat; (2, 3) repeats first
+    with pytest.raises(ValueError, match=r"^duplicate edge \(2, 3\)$"):
+        Graph(4, [(2, 3), (0, 1), (3, 2), (1, 0)])
+    with pytest.raises(FormatError, match=r"^line 4: duplicate edge \(2, 3\)$"):
+        parse_graph("n 4\n2 3\n0 1\n3 2\n1 0\n")

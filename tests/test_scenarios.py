@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import replace
 
@@ -507,10 +508,34 @@ class TestDocumentParsing:
         with pytest.raises(ConfigError, match=r"\[\(2, 1\), \(3, 0\)\]"):
             load_scenario(doc)
 
+    def test_table_ids_beyond_int64_are_reported_as_written(self):
+        doc = MALICIOUS_DOC + "adversary\ntable 60.0\n3 18446744073709551615 1.0\n"
+        with pytest.raises(ConfigError, match=r"\[\(3, 18446744073709551615\)\]"):
+            load_scenario(doc)
+
     @pytest.mark.parametrize("ids", ["inf 2", "3 nan", "3.0 2", "3 x"])
     def test_table_ids_must_be_integers(self, ids):
         doc = MALICIOUS_DOC + f"adversary\ntable 60.0\n{ids} 1.0\n"
         with pytest.raises(FormatError, match="bad id list"):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("3 2 1.0\n3 2 x\n", "line 22: repeated table entry 3 2"),
+            ("3 3 x\n", "line 21: ids listed twice: [3]"),
+            ("3 x x\n", "line 21: bad id list '3 x'"),
+            ("3 x 1.0 4\n", "line 21: expected '<agent> <neighbor> <value>'"),
+            ("3 2 x\n3 3 1.0\n", "line 21: bad number 'x'"),
+            ("3 2 1.0\n+3 02 5.0\n", "line 22: repeated table entry 3 2"),
+        ],
+        ids=["repeat-before-value", "twice-before-value", "ids-before-value", "count-first",
+             "earlier-line-first", "repeat-as-ints"],
+    )
+    def test_table_line_errors_in_line_by_line_order(self, rows, message):
+        # within a line: token count, ids, repeat, value; across lines: the first
+        doc = MALICIOUS_DOC + "adversary\ntable 60.0\n" + rows
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_scenario(doc)
 
     def test_comments_and_blank_lines_ignored(self):
@@ -617,3 +642,88 @@ def test_mutated_documents_raise_only_format_or_config_errors(doc):
         load_scenario(doc)
     except (FormatError, ConfigError):
         pass
+
+
+def _table_example() -> SimulationConfig:
+    """Example 1 at 20 rounds whose malicious agents show each legitimate
+    neighbour a seeded +-100."""
+    config = example1(rounds=20)
+    rng = random.Random(0)
+    malicious = config.layout.malicious
+    entries = {(m, v): rng.choice((-100.0, 100.0)) for m in sorted(malicious)
+               for v in config.graph.neighbors(m) if v not in malicious}
+    return replace(config, adversary=PerNeighborTable(entries, 60.0))
+
+
+READER_CONFIGS = [*(build(rounds=20) for build in (example1, example2, example3)),
+                  _table_example()]
+NOISE_LINES = ["", "   ", "\t", "# note", "#", "  # 0 1", "#3 3 x"]
+
+
+def _line_kinds(doc: str) -> list[tuple[str, str | None]]:
+    """Each line of a formatted document with its kind: 'edge', 'table' or None."""
+    lines = doc.split("\n")[:-1]
+    edges = range(lines.index("n " + lines[1].split()[1]) + 1, lines.index("communities"))
+    table = range(next((i + 1 for i, line in enumerate(lines) if line.startswith("table ")),
+                       len(lines)), len(lines))
+    return [(line, "edge" if i in edges else "table" if i in table else None)
+            for i, line in enumerate(lines)]
+
+
+@st.composite
+def noisy_documents(draw):
+    """A formatted example document with blank and '#' lines put in at random
+    places and, half the time, CRLF endings: the index of its config, its
+    lines with their kinds, and the line ending."""
+    k = draw(st.integers(0, len(READER_CONFIGS) - 1))
+    lines = _line_kinds(format_scenario(READER_CONFIGS[k]))
+    noise = draw(st.lists(st.tuples(st.integers(0, len(lines)), st.sampled_from(NOISE_LINES)),
+                          max_size=8))
+    for at, text in sorted(noise, reverse=True):
+        lines.insert(at, (text, None))
+    return k, lines, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def _join(lines, ending):
+    return "".join(text + ending for text, _ in lines)
+
+
+@settings(deadline=None, max_examples=40)
+@given(noisy_documents())
+def test_bulk_reader_ignores_noise_and_line_endings(case):
+    k, lines, ending = case
+    assert load_scenario(_join(lines, ending)) == READER_CONFIGS[k]
+
+
+@settings(deadline=None, max_examples=60)
+@given(noisy_documents(), st.data())
+def test_bulk_reader_names_the_corrupted_line(case, data):
+    k, lines, ending = case
+    kinds = ["edge"] + (["table"] if k == 3 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    rows = [i for i, (_, what) in enumerate(lines) if what == kind]
+    at = data.draw(st.sampled_from(rows[1:]))  # a line with one of its kind before it
+    tokens = lines[at][0].split()
+    edit = data.draw(st.sampled_from(["token", "loop", "repeat"]))
+    if edit == "token":  # any one token made unreadable as an int and as a float, or dropped
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(
+            st.sampled_from(["x", "0x1", "--1", ""]))
+        text = " ".join(tokens)
+        message = {"edge": "bad edge|expected 'u v'",
+                   "table": "bad id list|bad number|expected '<agent>"}[kind]
+    elif edit == "loop":  # both ids the same agent
+        tokens[1] = tokens[0]
+        text = " ".join(tokens)
+        message = {"edge": "self-loop on agent", "table": "ids listed twice"}[kind]
+    else:  # an earlier line of the same kind again
+        text = lines[data.draw(st.sampled_from([i for i in rows if i < at]))][0]
+        message = {"edge": "duplicate edge", "table": "repeated table entry"}[kind]
+    lines[at] = (text, kind)
+    with pytest.raises(FormatError, match=rf"^line {at + 1}: ({message})"):
+        load_scenario(_join(lines, ending))
+
+
+def test_form_feed_in_a_document_keeps_grep_line_numbers():
+    doc = BASE_DOC.replace("0 1\n", "0 1\x0c\n").replace("2 3\ncommunities", "3 3\ncommunities")
+    with pytest.raises(FormatError, match=r"^line 5: self-loop on agent 3$"):
+        load_scenario(doc)

@@ -128,6 +128,8 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_verify_prop1(args) -> int:
     cap = _resolve_cap(args.force)
+    if args.samples < 1:
+        raise ConfigError(["sample count must be positive"])
     config = _build_config(args)
     # first, so that an invalid config exits before any output; the trace is
     # dropped at once, so the community checks add nothing to peak memory

@@ -10,14 +10,15 @@ in ascending id order, row after row, and row u is
 indices[indptr[u]:indptr[u + 1]].  Edge sets, edge lookups (searchsorted),
 degrees, external degrees, induced subgraphs and bitmasks are derived from
 them with numpy on each call, and every id a view returns is a Python int.
-Graph() is the one place an edge is checked: it checks all edges at once and
-names the first bad one in input order, which add_cross_edges and read_graph
-rely on.
+Graph() is the one place an edge is checked: it checks all edges at once,
+and only when that check fails does a plain loop over the edges name the
+first bad one in input order, which add_cross_edges and read_graph rely on.
 
 Text is read line by line, and only '\n' ends a line, so the line numbers in
 error messages are those of `grep -n`.  The graph section and the adversary
 table are tokenized in bulk, with Python's int() and float() applied to the
-whole token list, and an error names the first bad line in document order.
+whole token list.  A document with an error is read again line by line, and
+that pass names the first bad line in document order.
 """
 
 from __future__ import annotations
@@ -90,22 +91,18 @@ def _csr(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_bad_edge(n: int, pairs: np.ndarray) -> _BadEdge:
     """The error for the first edge of `pairs`, in input order, that is a
-    self-loop, has an end outside 0..n-1 or repeats an earlier edge."""
-    u, v = pairs[:, 0], pairs[:, 1]
-    broken = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    fine = np.flatnonzero(~broken)
-    good = pairs[fine].astype(np.int64)
-    keys = good.min(axis=1) * n + good.max(axis=1)
-    order = np.argsort(keys, kind="stable")  # a repeat sorts after its first
-    keys = keys[order]
-    again = fine[order[1:][keys[1:] == keys[:-1]]]
-    first = int(np.concatenate([np.flatnonzero(broken)[:1], again]).min())
-    a, b = int(u[first]), int(v[first])
-    if a == b:
-        return _BadEdge(first, f"self-loop on agent {a}")
-    if not (0 <= a < n and 0 <= b < n):
-        return _BadEdge(first, f"edge ({a}, {b}) outside agent range 0..{n - 1}")
-    return _BadEdge(first, f"duplicate edge {(min(a, b), max(a, b))}")
+    self-loop, has an end outside 0..n-1 or repeats an earlier edge; `pairs`
+    holds one.  tolist() gives Python ints, so every id prints as written."""
+    seen = set()
+    for i, (a, b) in enumerate(pairs.tolist()):
+        if a == b:
+            return _BadEdge(i, f"self-loop on agent {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            return _BadEdge(i, f"edge ({a}, {b}) outside agent range 0..{n - 1}")
+        edge = (min(a, b), max(a, b))
+        if edge in seen:
+            return _BadEdge(i, f"duplicate edge {edge}")
+        seen.add(edge)
 
 
 def _rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,36 +393,43 @@ def read_int(lineno: int, token: str, what: str = "integer") -> int:
         raise FormatError(f"line {lineno}: bad {what} {token!r}") from None
 
 
-def parse_tokens(kind, tokens: list[str]) -> tuple[list, int]:
-    """kind(token) for each token up to the first that kind rejects with a
-    ValueError, and that token's index (len(tokens) when none is rejected)."""
-    try:
-        return list(map(kind, tokens)), len(tokens)
-    except ValueError:
-        for i, token in enumerate(tokens):  # only a document with an error gets here
-            try:
-                kind(token)
-            except ValueError:
-                return list(map(kind, tokens[:i])), i
-        raise
-
-
-def split_lines(lines: list[tuple[int, str]], width: int) -> tuple[list[str], int]:
-    """The index of the first numbered line whose token count is not `width`
-    (len(lines) when there is none), and the tokens of the lines before it."""
+def split_lines(lines: list[tuple[int, str]], width: int) -> list[str] | None:
+    """The tokens of the numbered lines, in order, or None when some line's
+    token count is not `width`."""
     texts = list(map(operator.itemgetter(1), lines))
-    counts = list(map(len, map(str.split, texts)))
-    stop = len(counts)
-    if counts.count(width) != stop:
-        stop = next(i for i, c in enumerate(counts) if c != width)
-    return " ".join(texts[:stop]).split(), stop
+    if list(map(len, map(str.split, texts))).count(width) != len(texts):
+        return None
+    return " ".join(texts).split()
+
+
+def _edge_ids(edge_lines: list[tuple[int, str]]) -> tuple[list[int], FormatError | None]:
+    """The ids of the edge lines, converted in bulk, and None.  When some
+    line is not two integers, the lines are read again one at a time: the
+    ids of the lines before the first such line, and the error naming it."""
+    tokens = split_lines(edge_lines, 2)
+    if tokens is not None:
+        try:
+            return list(map(int, tokens)), None
+        except ValueError:
+            pass
+    ids: list[int] = []  # only a document with an error gets here
+    for lineno, line in edge_lines:
+        tokens = line.split()
+        if len(tokens) != 2:
+            return ids, FormatError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            ids += int(tokens[0]), int(tokens[1])
+        except ValueError:
+            return ids, FormatError(f"line {lineno}: bad edge {line!r}")
+    return ids, None
 
 
 def read_graph(lines: list[tuple[int, str]]) -> Graph:
     """Read numbered graph lines: `n <count>`, then one `u v` per edge.
 
-    The edge lines are split and converted in bulk.  The first line that is
-    not two integers or holds a bad edge is reported, by its line number.
+    The edge lines are split and converted in bulk.  A document with an
+    error is read again line by line, and that pass names the first line
+    that is not two integers, unless a bad edge on an earlier line is named.
     """
     if not lines:
         raise FormatError("missing 'n <count>' line")
@@ -437,19 +441,15 @@ def read_graph(lines: list[tuple[int, str]]) -> Graph:
     if n * _AGENT_BYTES > physical_memory():  # refused before anything is allocated
         raise MemoryError(f"{n} agents need about {n * _AGENT_BYTES} bytes")
 
-    tokens, stop = split_lines(edge_lines, 2)
-    ids, bad = parse_tokens(int, tokens)
-    parsed = bad // 2  # lines before the first bad token or token count
+    ids, bad = _edge_ids(edge_lines)
     try:
-        g = Graph(n, id_array(ids[: 2 * parsed]).reshape(-1, 2))
+        g = Graph(n, id_array(ids).reshape(-1, 2))
     except _BadEdge as exc:
         raise FormatError(f"line {edge_lines[exc.index][0]}: {exc}") from None
     except ValueError as exc:  # the agent count itself
         raise FormatError(f"line {lineno}: {exc}") from None
-    if parsed < len(edge_lines):
-        lineno, line = edge_lines[parsed]
-        what = f"expected 'u v', got {line!r}" if parsed == stop else f"bad edge {line!r}"
-        raise FormatError(f"line {lineno}: {what}")
+    if bad is not None:
+        raise bad
     return g
 
 

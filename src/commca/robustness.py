@@ -424,22 +424,19 @@ def verify_reachability_preservation(
     e_in + (ext(u) - |E|) - |E| >= e_in - ext(u) >= k - ext(u) >= 0.  So the
     property holds for every member set, and the result reports the subsets
     the proof covers: all 2^m - 1 non-empty ones of m members in exhaustive
-    mode, `samples` of them in sampled mode.  The seed is accepted for
-    compatibility and draws nothing.
+    mode, `samples` of them in sampled mode.  `ok` is always True, and
+    `seed` is accepted for compatibility and draws nothing.
     """
-    member_list = sorted(frozenset(int(u) for u in members))
-    if not member_list:
-        raise ValueError("member set must be non-empty")
-    threshold = g.max_external_degree(member_list)
+    degrees = g.external_degrees(members)
     if mode == "exhaustive":
-        covered = (1 << len(member_list)) - 1
+        covered = (1 << len(degrees)) - 1
     elif mode == "sampled":
         if samples < 1:
             raise ValueError("sample count must be positive")
         covered = samples
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'sampled'")
-    return PreservationResult(True, mode, threshold, covered)
+    return PreservationResult(True, mode, max(degrees.values()), covered)
 
 
 def format_witness(w: RobustnessWitness) -> str:

@@ -45,7 +45,6 @@ from .graph import (
     Graph,
     content_lines,
     format_graph,
-    parse_tokens,
     read_graph,
     read_ids,
     read_indexed,
@@ -425,43 +424,31 @@ def _parse_adversary_section(lines: list[tuple[int, str]]) -> AdversaryStrategy:
     raise FormatError(f"line {lineno}: unknown adversary kind {kind!r}")
 
 
-def _first_repeat(keys: list) -> int:
-    """Index of the first key equal to an earlier one, len(keys) if none is."""
-    if len(set(keys)) < len(keys):  # only a document with an error gets here
-        seen = set()
-        for i, key in enumerate(keys):
-            if key in seen:
-                return i
-            seen.add(key)
-    return len(keys)
-
-
 def _read_table(lines: list[tuple[int, str]]) -> dict[tuple[int, int], float]:
     """The `<agent> <neighbor> <value>` lines of a table, tokenized and
-    converted in bulk.  The first bad line is reported as a line-by-line
-    reader would: its token count, then its ids (integers, not equal), then
-    a repeat of an earlier entry, then its value."""
-    tokens, stop = split_lines(lines, 3)
-    agents, bad_agent = parse_tokens(int, tokens[0::3])
-    neighbors, bad_neighbor = parse_tokens(int, tokens[1::3])
-    values, bad_value = parse_tokens(float, tokens[2::3])
-    ids = min(bad_agent, bad_neighbor)  # lines whose ids are integers
-    same = next(compress(count(), map(operator.eq, agents[:ids], neighbors[:ids])), ids)
-    keys = list(zip(agents[:same], neighbors[:same]))
-    fine = _first_repeat(keys)  # lines before it pass every check but their value's
-    if bad_value < fine:
-        raise FormatError(f"line {lines[bad_value][0]}: bad number {tokens[3 * bad_value + 2]!r}")
-    if fine < len(lines):
-        lineno = lines[fine][0]
-        if fine < same:
-            agent, neighbor = keys[fine]
+    converted in bulk.  A table with an error is read again line by line,
+    and that pass names the first bad line: its token count, then its ids
+    (integers, not equal), then a repeat of an earlier entry, then its value."""
+    tokens = split_lines(lines, 3)
+    if tokens is not None:
+        try:
+            keys = list(zip(map(int, tokens[0::3]), map(int, tokens[1::3])))
+            table = dict(zip(keys, map(float, tokens[2::3])))
+        except ValueError:
+            pass
+        else:
+            if len(table) == len(keys) and not any(a == b for a, b in keys):
+                return table
+    table = {}  # only a table with an error gets here
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 3:
+            raise FormatError(f"line {lineno}: expected '<agent> <neighbor> <value>'")
+        agent, neighbor = read_ids(lineno, parts[:2])
+        if (agent, neighbor) in table:
             raise FormatError(f"line {lineno}: repeated table entry {agent} {neighbor}")
-        if same < ids:
-            raise FormatError(f"line {lineno}: ids listed twice: [{agents[same]}]")
-        if ids < stop:
-            raise FormatError(f"line {lineno}: bad id list {' '.join(tokens[3 * ids:3 * ids + 2])!r}")
-        raise FormatError(f"line {lineno}: expected '<agent> <neighbor> <value>'")
-    return dict(zip(keys, values))
+        table[agent, neighbor] = _parse_float(lineno, parts[2])
+    return table
 
 
 def load_scenario(text: str) -> SimulationConfig:

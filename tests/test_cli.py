@@ -546,6 +546,12 @@ class TestVerifyProp1:
         assert "preservation ok over 300 subsets (sampled, threshold 2)" in out
         assert "isolation ok over 60 rounds" in out
 
+    @pytest.mark.parametrize("mode, samples", [("sampled", "0"), ("exhaustive", "-5")])
+    def test_non_positive_samples_exit_2_before_any_output(self, capsys, mode, samples):
+        argv = ["verify-prop1", "--example", "3", "--mode", mode, "--samples", samples]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: sample count must be positive\n")
+
     def test_uncertified_isolation_is_informational(self, tmp_path, capsys):
         doc = tmp_path / "doc.txt"
         doc.write_text(INTRUDER_DOC)

@@ -335,6 +335,10 @@ class TestGraphFiles:
             ("# loops\nn 3\n0 1\n\n2 2\n", "line 5: self-loop on agent 2"),
             ("n 3\n0 1\n1 3\n", "line 3: edge (1, 3) outside agent range 0..2"),
             ("n -1\n", "line 1: agent count must be non-negative"),
+            # six tokens over two lines: the per-line count still names line 2
+            ("n 4\n0 1 2\n3\n", "line 2: expected 'u v', got '0 1 2'"),
+            pytest.param("n 20000\n" + "".join(f"{i} {i + 1}\n" for i in range(19999)) + "0 1\n",
+                         "line 20001: duplicate edge (0, 1)", id="last-of-20000-repeats-first"),
         ],
     )
     def test_bad_edge_reported_with_line(self, text, message):

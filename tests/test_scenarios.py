@@ -385,6 +385,10 @@ class TestDocumentParsing:
         cfg = load_scenario(doc + "adversary\nscript 60.0 0.0\n")
         assert cfg.adversary == RoundScript((60.0, 0.0))
 
+    def test_table_without_entries_is_the_constant(self):
+        cfg = load_scenario(MALICIOUS_DOC + "adversary\ntable 7.5\n")
+        assert cfg.adversary == ConstantValue(7.5)
+
     def test_declared_bound_accepts_true_external_degree(self):
         doc = BASE_DOC.replace(
             "community 2: 2 3\n", "community 2: 2 3\nexternal 1 1\nexternal 2 1\n"
@@ -528,9 +532,10 @@ class TestDocumentParsing:
             ("3 x 1.0 4\n", "line 21: expected '<agent> <neighbor> <value>'"),
             ("3 2 x\n3 3 1.0\n", "line 21: bad number 'x'"),
             ("3 2 1.0\n+3 02 5.0\n", "line 22: repeated table entry 3 2"),
+            ("3 2\n1.0 2 3 5.0\n", "line 21: expected '<agent> <neighbor> <value>'"),
         ],
         ids=["repeat-before-value", "twice-before-value", "ids-before-value", "count-first",
-             "earlier-line-first", "repeat-as-ints"],
+             "earlier-line-first", "repeat-as-ints", "count-off-by-line-not-in-total"],
     )
     def test_table_line_errors_in_line_by_line_order(self, rows, message):
         # within a line: token count, ids, repeat, value; across lines: the first

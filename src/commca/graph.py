@@ -10,9 +10,9 @@ in ascending id order, row after row, and row u is
 indices[indptr[u]:indptr[u + 1]].  Edge sets, edge lookups (searchsorted),
 degrees, external degrees, induced subgraphs and bitmasks are derived from
 them with numpy on each call, and every id a view returns is a Python int.
-Graph() is the one place an edge is checked: it checks all edges at once,
-and only when that check fails does a plain loop over the edges name the
-first bad one in input order, which add_cross_edges and read_graph rely on.
+Graph() checks all edges at once; only when that check fails does a plain
+loop name the first bad edge in input order, by the one edge rule
+(_edge_problem) that read_graph's line-by-line pass also applies.
 
 Text is read line by line, and only '\n' ends a line, so the line numbers in
 error messages are those of `grep -n`.  The graph section and the adversary
@@ -47,14 +47,6 @@ class FormatError(ValueError):
     """Raised when a graph or community text document does not parse."""
 
 
-class _BadEdge(ValueError):
-    """The first bad edge of an edge list; index is its position in the list."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
 def id_array(ids: list) -> np.ndarray:
     """Integer ids, or lists of them, as an int64 array, or as an object
     array of Python ints (which compare exactly) when some id is beyond int64."""
@@ -75,8 +67,8 @@ def _pair_array(edges) -> np.ndarray:
 
 
 def _csr(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """indptr and indices of the graph on n agents with edges `pairs`;
-    raises _BadEdge for the first self-loop, out-of-range end or repeat."""
+    """indptr and indices of the graph on n agents with edges `pairs`; a
+    ValueError names the first edge, in input order, that _edge_problem finds."""
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise _first_bad_edge(n, pairs)
     pairs, m = pairs.astype(np.int64, copy=False), max(n, 1)
@@ -89,20 +81,27 @@ def _csr(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return both.searchsorted(np.arange(0, (n + 1) * m, m)), both % m
 
 
-def _first_bad_edge(n: int, pairs: np.ndarray) -> _BadEdge:
-    """The error for the first edge of `pairs`, in input order, that is a
-    self-loop, has an end outside 0..n-1 or repeats an earlier edge; `pairs`
-    holds one.  tolist() gives Python ints, so every id prints as written."""
-    seen = set()
-    for i, (a, b) in enumerate(pairs.tolist()):
-        if a == b:
-            return _BadEdge(i, f"self-loop on agent {a}")
-        if not (0 <= a < n and 0 <= b < n):
-            return _BadEdge(i, f"edge ({a}, {b}) outside agent range 0..{n - 1}")
-        edge = (min(a, b), max(a, b))
-        if edge in seen:
-            return _BadEdge(i, f"duplicate edge {edge}")
-        seen.add(edge)
+def _first_bad_edge(n: int, pairs: np.ndarray) -> ValueError:
+    """The error for the first bad edge of `pairs`, which holds one.
+    tolist() gives Python ints, so every id prints as written."""
+    seen: set[tuple[int, int]] = set()
+    for a, b in pairs.tolist():
+        if problem := _edge_problem(n, a, b, seen):
+            return ValueError(problem)
+
+
+def _edge_problem(n: int, a: int, b: int, seen: set[tuple[int, int]]) -> str | None:
+    """What is wrong with edge (a, b) of a graph on n agents that already has
+    the edges `seen`: a self-loop, an end outside 0..n-1 or a repeat.  None
+    when nothing is, and the edge joins `seen`."""
+    if a == b:
+        return f"self-loop on agent {a}"
+    if not (0 <= a < n and 0 <= b < n):
+        return f"edge ({a}, {b}) outside agent range 0..{n - 1}"
+    edge = (min(a, b), max(a, b))
+    if edge in seen:
+        return f"duplicate edge {edge}"
+    seen.add(edge)
 
 
 def _rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,34 +401,13 @@ def split_lines(lines: list[tuple[int, str]], width: int) -> list[str] | None:
     return " ".join(texts).split()
 
 
-def _edge_ids(edge_lines: list[tuple[int, str]]) -> tuple[list[int], FormatError | None]:
-    """The ids of the edge lines, converted in bulk, and None.  When some
-    line is not two integers, the lines are read again one at a time: the
-    ids of the lines before the first such line, and the error naming it."""
-    tokens = split_lines(edge_lines, 2)
-    if tokens is not None:
-        try:
-            return list(map(int, tokens)), None
-        except ValueError:
-            pass
-    ids: list[int] = []  # only a document with an error gets here
-    for lineno, line in edge_lines:
-        tokens = line.split()
-        if len(tokens) != 2:
-            return ids, FormatError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            ids += int(tokens[0]), int(tokens[1])
-        except ValueError:
-            return ids, FormatError(f"line {lineno}: bad edge {line!r}")
-    return ids, None
-
-
 def read_graph(lines: list[tuple[int, str]]) -> Graph:
     """Read numbered graph lines: `n <count>`, then one `u v` per edge.
 
-    The edge lines are split and converted in bulk.  A document with an
-    error is read again line by line, and that pass names the first line
-    that is not two integers, unless a bad edge on an earlier line is named.
+    The edge lines are split and converted in bulk and checked by Graph().
+    When that fails they are read again one at a time, and only that pass
+    names the error: the first line, in file order, that is not two integers
+    or whose edge breaks the edge rule (_edge_problem) Graph() applies too.
     """
     if not lines:
         raise FormatError("missing 'n <count>' line")
@@ -438,19 +416,29 @@ def read_graph(lines: list[tuple[int, str]]) -> Graph:
     if len(tokens) != 2 or tokens[0] != "n":
         raise FormatError(f"line {lineno}: expected 'n <count>', got {line!r}")
     n = read_int(lineno, tokens[1], "agent count")
+    if n < 0:
+        raise FormatError(f"line {lineno}: agent count must be non-negative")
     if n * _AGENT_BYTES > physical_memory():  # refused before anything is allocated
         raise MemoryError(f"{n} agents need about {n * _AGENT_BYTES} bytes")
 
-    ids, bad = _edge_ids(edge_lines)
-    try:
-        g = Graph(n, id_array(ids).reshape(-1, 2))
-    except _BadEdge as exc:
-        raise FormatError(f"line {edge_lines[exc.index][0]}: {exc}") from None
-    except ValueError as exc:  # the agent count itself
-        raise FormatError(f"line {lineno}: {exc}") from None
-    if bad is not None:
-        raise bad
-    return g
+    tokens = split_lines(edge_lines, 2)
+    if tokens is not None:
+        try:
+            return Graph(n, id_array(list(map(int, tokens))).reshape(-1, 2))
+        except ValueError:  # a token that is not an integer, or a bad edge
+            pass
+    seen: set[tuple[int, int]] = set()  # only a document with an error gets here
+    for lineno, line in edge_lines:
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise FormatError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            a, b = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad edge {line!r}") from None
+        if problem := _edge_problem(n, a, b, seen):
+            raise FormatError(f"line {lineno}: {problem}")
+    return Graph(n, list(seen))
 
 
 def parse_graph(text: str) -> Graph:

@@ -163,15 +163,10 @@ class PreservationResult:
 
 def excess(g: Graph, u: int, inside: Iterable[int]) -> int:
     """Neighbors of u outside `inside` minus neighbors inside.  u must be a member."""
-    members = frozenset(int(x) for x in inside)
-    bad = [x for x in members if not (0 <= x < g.n)]
-    if bad:
-        raise ValueError(f"member ids outside 0..{g.n - 1}: {sorted(bad)}")
-    if u not in members:
+    report = reachable_set(g, inside, 0)
+    if u not in report.subset:
         raise ValueError(f"agent {u} is not a member of the set")
-    nbrs = g.neighbors(u)
-    inside_count = sum(1 for v in nbrs if v in members)
-    return (len(nbrs) - inside_count) - inside_count
+    return report.excess_by_agent[u]
 
 
 def reachable_set(g: Graph, members: Iterable[int], threshold: int) -> ReachabilityReport:
@@ -179,7 +174,13 @@ def reachable_set(g: Graph, members: Iterable[int], threshold: int) -> Reachabil
     subset = frozenset(int(x) for x in members)
     if not subset:
         raise ValueError("member set must be non-empty")
-    by_agent = {u: excess(g, u, subset) for u in sorted(subset)}
+    bad = sorted(x for x in subset if not 0 <= x < g.n)
+    if bad:
+        raise ValueError(f"member ids outside 0..{g.n - 1}: {bad}")
+    by_agent = {}
+    for u in sorted(subset):  # degree minus twice the neighbors inside
+        nbrs = g.neighbors(u)
+        by_agent[u] = len(nbrs) - 2 * sum(v in subset for v in nbrs)
     reach = frozenset(u for u, e in by_agent.items() if e >= threshold)
     return ReachabilityReport(subset, threshold, reach, by_agent)
 

@@ -10,11 +10,17 @@ Exit codes are a stable contract: 0 success / predicate holds, 1 a checked
 predicate or property fails, 2 input or validation error, 3 enumeration size
 cap exceeded or out of memory.  The environment variable COMMCA_CAP overrides
 the default enumeration cap; --force lifts it entirely.
+
+main() can be called many times in one process (tests, the benchmark, a
+notebook).  It builds its argument parser on the first call and reuses it:
+each parse returns a fresh namespace and no argument has a mutable default,
+so no call sees what an earlier one parsed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -173,7 +179,9 @@ def _cmd_verify_prop1(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="commca",
         description="Community consensus: robustness checks, simulation, verdicts.",
@@ -238,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # FormatError and ConfigError are ValueErrors

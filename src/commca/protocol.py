@@ -16,12 +16,17 @@ run() tabulates the whole malicious schedule once.  The community predicate
 guarantees isolation against any presentation, but agreement only when each
 malicious agent shows all its neighbors one value: a table showing 1.0 to two
 legitimate agents of a certified K_6 and 0.0 to the other two splits it.
-Each of run()'s rounds is the update rule alone: legitimate agents' neighbor
-rows are padded with infinities to the even power-of-two width of their
-class, so a class's medians sit in the same columns, and each class is
-sorted once.  A bool flag per agent says whether its median left its
-community's initial interval; isolation reports are read off those flags
-after the last round.
+Each of run()'s rounds is the update rule alone, in buffers allocated once
+before the first: legitimate agents' neighbor rows are padded with
+infinities to the even power-of-two width of their class, so a class's
+medians sit in the same columns, and each class is gathered and sorted in
+place once a round.  The legitimate values are kept in class order, odd
+degree before even degree within a class, so that a class's odd rows copy
+one column and its even rows average two, each into its own slice of one
+median vector; the trace keeps agent-id order, written by one scatter a
+round.  A bool flag per agent says whether its median left its community's
+initial interval; isolation reports are read off those flags after the
+last round.
 A round depends only on the legitimate values before it and on what the
 script shows, so once the script holds its last entry, a row that repeats
 its predecessor bit for bit repeats in every later round: run() stops there,
@@ -349,10 +354,15 @@ class Trace:
 def run(config: SimulationConfig) -> Trace:
     """Run the full simulation and collect the trace.
 
-    Equivalent to iterating step() from the initial values.  Each round sorts
-    the padded neighbor rows of each width class once.  Whether each median
-    left its community's initial interval is kept as one byte (a bool flag),
-    and the isolation reports are read off those flags after the last round.
+    Equivalent to iterating step() from the initial values.  The legitimate
+    values are one vector in class order (width class, then odd degree
+    before even degree), updated in place.  Each round sorts each class's
+    padded neighbor rows in a buffer of its own, writes the class's odd and
+    even medians into their slices of one median vector and scatters the
+    new values into the trace row, which stays in agent-id order.  Whether
+    each median left its community's initial interval is kept as one byte
+    (a bool flag), and the isolation reports are read off those flags after
+    the last round.
     From the first round at or after the script's last entry whose new row
     equals the row before it bit for bit, every later round repeats it, so
     the loop stops there, copies that row to the end and counts that round's
@@ -379,67 +389,92 @@ def run(config: SimulationConfig) -> Trace:
     # frexp's exponent is the bit length of an integer below 2^53.
     deg = np.diff(g.indptr)
     half = 1 << np.frexp((deg[legit] + 1) // 2 - 1)[1].astype(np.int64)
-    by_class = np.argsort(half, kind="stable")
+    # class order: by class, odd degree before even degree within a class
+    by_class = np.lexsort((deg[legit] % 2 == 0, half))
     legit_arr, half = legit[by_class], half[by_class]
-    # the trace, a bool flag per agent and round, the padded rows and two copies
-    if 8 * (T + 1) * n + legit_arr.size * T + 48 * int(half.sum()) > graph.physical_memory():
+    L = legit_arr.size
+    # the trace, a bool flag per agent and round, and three 8-byte slots per
+    # padded row entry: its index, its value and, as every row is at least two
+    # entries wide, room for the median vector and a flag buffer
+    if 8 * (T + 1) * n + L * T + 48 * int(half.sum()) > graph.physical_memory():
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     # no adversary behaves like a script that no agent shows
     adversary = config.adversary or AdversaryStrategy((0.0,))
     # shown[t] is what every malicious agent displays at round t
     script = np.array(adversary.script, dtype=np.float64)
     shown = script[np.minimum(np.arange(T + 1), script.size - 1)]
-    # p[:n] is what each agent presents by default; each fixed override gets
-    # a slot of its own after those, and the last two slots hold the pads.
-    # source[k] is the slot of indices[k], which is k's neighbor itself unless
-    # an override fixes what that neighbor presents to the row's agent.
+    # p[:L] holds the legitimate values in legit_arr's order and p[L:n] what
+    # the malicious agents show by default, slot[u] being agent u's place; each
+    # fixed override gets a slot of its own after those, and the last two
+    # slots hold the pads.  source[k] is the slot of indices[k]: its
+    # neighbor's own slot unless an override fixes what that neighbor
+    # presents to the row's agent.
     overrides = adversary.overrides
-    p = np.concatenate([np.zeros(n), np.fromiter(overrides.values(), np.float64, len(overrides)),
+    p = np.concatenate([x0[legit_arr], np.zeros(n - L),
+                        np.fromiter(overrides.values(), np.float64, len(overrides)),
                         [-np.inf, np.inf]])
-    source = g.indices.copy()
+    slot = np.argsort(np.concatenate([legit_arr, mal_arr]))  # inverts the order
+    source = slot[g.indices]
     keys = np.fromiter(chain.from_iterable(overrides), np.int64, 2 * len(overrides)).reshape(-1, 2)
     source[g.edge_positions(keys[:, 1], keys[:, 0])] = n + np.arange(len(keys))
 
     # -inf pads on the left, +inf on the right and one more +inf for odd
     # degree put the median at column h - 1 (odd degree) or make it the mean
-    # of columns h - 1 and h (even degree); a class is a run of legit_arr.
+    # of columns h - 1 and h (even degree).  A class is a run of legit_arr,
+    # its odd rows first; each writes its medians into its run of `med`.
     # j[r, c] is the place in its row of the entry at column c of row r.
+    med = np.empty(L)
     classes = []
+    lo = 0
     for h in np.unique(half).tolist():
-        us = legit_arr[half == h]
+        hi = lo + int(np.count_nonzero(half == h))
+        us = legit_arr[lo:hi]
         d = deg[us]
         j = np.arange(2 * h) - (h - (d + 1) // 2)[:, None]
-        idx = np.where(j < 0, -2, -1)
+        idx = np.where(j < 0, p.size - 2, p.size - 1)
         row = (j >= 0) & (j < d[:, None])
         idx[row] = source[(g.indptr[us][:, None] + j)[row]]
-        classes.append((h, idx, d % 2 == 0))
+        block = np.empty(idx.shape)
+        mid = lo + int(np.count_nonzero(d % 2))
+        classes.append((h > 1, idx, block, med[lo:mid], block[: mid - lo, h - 1],
+                        med[mid:hi], block[mid - lo :, h - 1], block[mid - lo :, h]))
+        lo = hi
+
+    def medians(t: int) -> np.ndarray:  # of legit_arr's agents at round t, from p[:L]
+        p[L:n] = shown[t]
+        for sort, idx, block, odd_out, odd_col, even_out, even_left, even_right in classes:
+            # no index is out of range; unlike "raise", "clip" fills out unbuffered
+            p.take(idx, out=block, mode="clip")
+            if sort:  # a row two wide has its median in the same place unsorted
+                block.sort(axis=1)
+            odd_out[:] = odd_col
+            np.add(even_left, even_right, out=even_out)
+            even_out /= 2.0
+        return med
 
     rows = np.empty((T + 1, n), dtype=np.float64)
     rows[0] = x0
     # legitimate and malicious agents together are all agents (validated)
     rows[1:, mal_arr] = shown[1:, None]
-
-    def medians(t: int) -> np.ndarray:  # of legit_arr's agents at round t
-        p[:n] = rows[t]
-        p[mal_arr] = shown[t]
-        out = []
-        for h, idx, even in classes:
-            # a row two wide has its median in the same place unsorted
-            block = p[idx] if h == 1 else np.sort(p[idx], axis=1)
-            a = block[:, h - 1]
-            out.append(np.where(even, (a + block[:, h]) / 2.0, a) if even.any() else a)
-        return np.concatenate(out) if out else np.empty(0)
+    x = p[:L]
 
     members = [np.array(sorted(s - layout.malicious), dtype=np.intp) for s in layout.subsets]
     intervals = [(float(x0[m].min()), float(x0[m].max())) if m.size else None for m in members]
     # outside[t, k]: legit_arr[k]'s median at round t left its community's interval
     low, high = np.array([intervals[layout.community_of(u)] for u in legit_arr]).reshape(-1, 2).T
-    outside = np.empty((T, legit_arr.size), dtype=bool)
+    outside = np.empty((T, L), dtype=bool)
+    above = np.empty(L, dtype=bool)
     kept = T  # rows of outside computed; the last one holds in every later round
     for t in range(T):
         m = medians(t)
-        outside[t] = (m < low) | (m > high)
-        rows[t + 1, legit_arr] = alpha * rows[t, legit_arr] + (1.0 - alpha) * m
+        np.less(m, low, out=outside[t])
+        np.greater(m, high, out=above)
+        outside[t] |= above
+        # alpha * x + (1 - alpha) * m: the same two products and one sum
+        x *= alpha
+        m *= 1.0 - alpha
+        x += m
+        rows[t + 1, legit_arr] = x
         # the fixed point; comparing bytes keeps -0.0 apart from 0.0
         if t >= script.size - 1 and rows[t + 1].tobytes() == rows[t].tobytes():
             rows[t + 2:] = rows[t + 1]
@@ -447,16 +482,15 @@ def run(config: SimulationConfig) -> Trace:
             break
     rows.setflags(write=False)
 
-    col = np.empty(n, dtype=np.intp)  # col[u]: u's column in outside
-    col[legit_arr] = np.arange(legit_arr.size)
     reports = []
     for i, own in enumerate(members):
-        cols = col[own]
+        cols = slot[own]  # a legitimate agent's slot is its column in outside
         bad = outside[:kept, cols]
         first = None
         if bad.any():  # earliest round, then lowest id
             t = int(np.argmax(bad.any(axis=1)))
             j = int(np.argmax(bad[t]))
+            x[:] = rows[t, legit_arr]
             first = (t, int(own[j]), float(medians(t)[cols[j]]))
         repeats = (T - kept) * int(bad[-1].sum())
         reports.append(IsolationReport(i, int(bad.sum()) + repeats, first))

@@ -136,6 +136,14 @@ class CommunityCheck:
     legitimate medians inside its initial interval against any adversary,
     but reaches agreement for certain only when each malicious agent shows
     all its neighbors one value.
+
+    With excess counted as degree minus twice the neighbors inside, as here,
+    an external degree of 3 or more seems never to certify: the exact engine
+    has found no graph of two or more agents that is (r, 1)-excess robust for
+    an r >= 3, so none is (r, s)-robust either, and a single member fails the
+    degree clause.  That is measured, not proven for general graphs.  A
+    complete community certifies at external degree 2 only at odd size.  The
+    paper's abstract alone does not show that it counts excess the same way.
     """
 
     members: frozenset[int]

@@ -28,7 +28,7 @@ from commca import (
     load_scenario,
     parse_graph,
 )
-from commca.cli import main
+from commca.cli import build_parser, main
 from commca.graph import CommunityLayout
 from commca.scenarios import example2, example3
 
@@ -636,6 +636,48 @@ class TestProcessExitCodes:
         path = write_graph(tmp_path, Graph(23, [(i, i + 1) for i in range(22)]))
         done = self.commca("check", path, "--r", "0")
         assert done.returncode == 3 and "exceeds the cap of 22" in done.stderr
+
+
+class TestParserReuse:
+    """main() parses every call with the one parser build_parser() returns,
+    so nothing a call parses may reach the next call."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_rounds_override_does_not_outlive_its_call(self, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", "--example", "2", "--rounds", "60", "--out", str(first)]) == 1
+        assert main(["run", "--example", "2", "--out", str(second)]) == 1
+        assert "rounds 60\n" in (first / "scenario.txt").read_text()
+        assert "rounds 5000\n" in (second / "scenario.txt").read_text()
+
+    def test_check_after_check_prints_what_a_fresh_process_prints(self, tmp_path, capsys):
+        path = write_graph(tmp_path, split_graph())
+        assert main(["check", path, "--rs", "1", "2"]) == 1
+        capsys.readouterr()
+        code = main(["check", path, "--r", "1"])
+        out, err = capsys.readouterr()
+        fresh = TestProcessExitCodes.commca("check", path, "--r", "1")
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_usage_error_leaves_later_calls_to_the_contract(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--r", "0"])
+        assert info.value.code == 2
+        assert main(["check", write_graph(tmp_path, complete_graph(3)), "--r", "0"]) == 0
+        triangles = disjoint_union(complete_graph(3), complete_graph(3))
+        assert main(["check", write_graph(tmp_path, triangles, "two.txt"), "--r", "0"]) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=" ".join)
+    def test_help_prints_the_same_text_twice(self, capsys, argv):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: commca")
 
 
 class TestNoNumpyScalarsInOutput:

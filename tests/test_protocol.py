@@ -314,6 +314,29 @@ class TestRunMatchesStep:
                 SimulationConfig(g, layout, PresetValues(vals), adv, alpha, 25, 0)
             )
 
+    def test_bitwise_equality_in_class_order_around_malicious_ids(self):
+        # malicious agents 0, 1 and 6 hold the lowest ids and one between
+        # legitimate ones; the 8-wide class mixes degrees 5 and 6 (agents
+        # 2, 3, 7, 8, 9) and the 4-wide one degrees 3 and 4 (agents 4, 10,
+        # 11), so run()'s odd-before-even class order is far from id order
+        edges = [(0, 2), (0, 3), (0, 7), (1, 2), (1, 4), (1, 9), (2, 3), (2, 4), (2, 5),
+                 (2, 7), (3, 4), (3, 5), (3, 8), (6, 7), (6, 8), (6, 9), (6, 10), (6, 11),
+                 (7, 8), (7, 9), (7, 10), (8, 9), (8, 11), (9, 10), (10, 11)]
+        g = Graph(12, edges)
+        legit = [2, 3, 4, 5, 7, 8, 9, 10, 11]
+        assert [g.degree(u) for u in legit] == [6, 5, 3, 2, 6, 5, 5, 4, 3]
+        layout = CommunityLayout([range(6), range(6, 12)], malicious={0, 1, 6})
+        adv = PerNeighborTable({(0, 3): 1e3, (6, 8): -1e3, (1, 9): 500.0}, 42.0)
+        rng = random.Random(16)
+        events = 0
+        for _ in range(4):
+            vals = tuple(rng.uniform(0.0, 10.0) if u < 6 else rng.uniform(50.0, 80.0)
+                         for u in range(12))
+            trace = assert_run_matches_step(SimulationConfig(
+                g, layout, PresetValues(vals), adv, rng.uniform(0.05, 0.95), 40, 0))
+            events += assert_reports_match_medians(trace)
+        assert events > 0
+
 
     def test_bitwise_equality_on_stars_across_width_classes(self):
         # hubs 0 and 1 (degrees 41 and 18) share 8 leaves of degree 2; the

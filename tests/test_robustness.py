@@ -342,6 +342,35 @@ class TestCompleteCertificate:
             complete_rs_certificate(5, 0, 0)
 
 
+@st.composite
+def graphs_of_any_density(draw, min_n, max_n):
+    """A graph whose edges each appear with one drawn probability p in [0, 1]."""
+    n = draw(st.integers(min_n, max_n))
+    p = draw(st.floats(0.0, 1.0))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    coins = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, c in zip(pairs, coins) if c < p])
+
+
+class TestExternalDegreeLimit:
+    """What the predicate admits with excess counted as degree minus twice
+    the neighbors inside: from r = 3 on no graph of two or more agents is
+    (r, 1)-excess robust, and K_n is (2, 1)-excess robust iff n is odd."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(graphs_of_any_density(2, 14), st.integers(3, 8))
+    def test_no_graph_is_robust_from_r_three(self, g, r):
+        w = is_rs_excess_robust(g, r, 1)
+        assert not w.robust
+        assert not evaluate_pair(g, *w.pair, r, 1).satisfied
+
+    def test_complete_graph_is_2_1_robust_iff_its_size_is_odd(self):
+        for n in range(2, 400):
+            assert complete_rs_certificate(n, 2, 1) is (n % 2 == 1), n
+        for n in range(2, 15):
+            assert is_rs_excess_robust(complete_graph(n), 2, 1).robust is (n % 2 == 1), n
+
+
 class TestCommunityPredicate:
     def test_clique_with_pendant_fails_degree_only(self):
         g = add_cross_edges(disjoint_union(complete_graph(4), Graph(1)), [(0, 4)])

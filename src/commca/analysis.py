@@ -4,7 +4,8 @@ A community reaches agreement when the spread of its legitimate members'
 values stays below epsilon over the final window of rounds.  It is safe when
 every legitimate member's value stays, at every round, inside the community's
 initial value interval widened by tau; the interval is the legitimate
-members' initial min/max.
+members' initial min/max.  Rows after the trace's last distinct one repeat
+it, so safety is checked on the rows up to that one.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ def rac_verdict(
             f"trace has {rows.shape[0]} rows, fewer than the agreement window {window}"
         )
     layout = trace.config.layout
+    head = rows[: trace.last_distinct + 1]  # later rows repeat its last one
     outcomes = []
     for i in range(len(layout)):
         members = sorted(layout.legitimate_in(i))
@@ -120,7 +122,7 @@ def rac_verdict(
         clusters = _clusters(members, finals, delta)
         limit = float(finals.mean()) if agreement else None
         lo, hi = trace.initial_interval(i)
-        block = rows[:, members]
+        block = head[:, members]
         inside = (block >= lo - tau) & (block <= hi + tau)
         safety = bool(inside.all())
         first_violation = None

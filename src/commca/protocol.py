@@ -33,8 +33,10 @@ its predecessor bit for bit repeats in every later round: run() stops there,
 fills the rest of the trace with copies and counts that round's isolation
 flags once for each later round.  The CSV writer writes bytes: rows up to
 the last distinct one become numpy byte-string cells a block of rounds at a
-time, with one repr per distinct bit pattern, and each repeat of that row is
-its bytes in a reused buffer with only the round's digits patched in.
+time, and each repeat of that row is its bytes in a reused buffer with only
+the round's digits patched in.  Each distinct bit pattern is formatted once,
+by a numpy kernel of the Schubfach shortest round-trip algorithm
+(commca._floatfmt) whose bytes equal repr's for every double.
 step() is the plain reference run() must agree with exactly, which the tests
 check bitwise.  Initial and adversary values are bounded by MAX_MAGNITUDE,
 which keeps every round finite.
@@ -42,6 +44,7 @@ which keeps every round finite.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -50,6 +53,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import graph
+from ._floatfmt import shortest_repr
 from .graph import CommunityLayout, Graph
 
 # Initial and adversary values may not exceed this magnitude, so that the sum
@@ -271,8 +275,12 @@ class Trace:
     """values[t, u] is agent u's stored value at round t (row 0 is initial).
 
     write_csv writes the trace as CSV bytes, one line per agent and round, and
-    to_csv_text returns the same bytes as text.  The writer holds a block of
-    about _BLOCK_CELLS cells at a time, never the whole text.
+    to_csv_text returns the same bytes as text.  A value is written as
+    repr(float(v)) writes it, formatted by the vectorized shortest round-trip
+    kernel of commca._floatfmt (Schubfach; Giulietti 2020, cf. Adams's Ryu,
+    PLDI 2018).  The writer holds a block of about _BLOCK_CELLS cells at a
+    time, never the whole text.  last_distinct is computed once, on first
+    use, so values must not change after that.
     """
 
     values: np.ndarray
@@ -290,6 +298,13 @@ class Trace:
     def final_values(self) -> np.ndarray:
         return self.values[-1]
 
+    @functools.cached_property
+    def last_distinct(self) -> int:
+        """The row after which every row repeats it bit for bit."""
+        bits = self.values.view(np.uint64)
+        changed = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
+        return int(changed[-1]) + 1 if changed.size else 0
+
     def initial_interval(self, community: int) -> tuple[float, float] | None:
         """Min/max initial value over the community's legitimate members;
         None when it has none."""
@@ -304,13 +319,10 @@ class Trace:
             f"{'malicious' if layout.is_malicious(u) else 'legitimate'},"
             for u in range(n)
         ], dtype="S")
-        bits = self.values.view(np.uint64)
-        changed = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
-        last = int(changed[-1]) + 1 if changed.size else 0  # rows after it repeat it
-        # one repr per distinct bit pattern (-0.0 and 0.0 differ)
-        distinct, inverse = np.unique(bits[: last + 1], return_inverse=True)
-        reprs = np.strings.add(
-            np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype="S"), b"\n")
+        last = self.last_distinct
+        # each distinct bit pattern formatted once (-0.0 and 0.0 differ)
+        distinct, inverse = np.unique(self.values[: last + 1].view(np.uint64), return_inverse=True)
+        reprs = np.strings.add(shortest_repr(distinct.view(np.float64)), b"\n")
         inverse = inverse.reshape(last + 1, n)
         block = max(1, _BLOCK_CELLS // max(n, 1))  # rounds per write
         fh.write(b"round,agent,community,role,value\n")

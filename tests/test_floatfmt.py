@@ -1,0 +1,89 @@
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commca._floatfmt import shortest_repr
+from commca.protocol import MAX_MAGNITUDE
+
+
+def assert_matches_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = shortest_repr(values)
+    expected = [repr(v).encode() for v in values.tolist()]
+    wrong = [(v, g, e) for v, g, e in zip(values.tolist(), got.tolist(), expected) if g != e]
+    assert not wrong, wrong[:5]
+    # as wide as numpy makes the reprs, so the writer's cells keep their width
+    assert got.dtype == np.array(expected, dtype="S").dtype
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def bits_of(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+# any 64-bit pattern, which covers NaN payloads of either sign, ±inf,
+# subnormals and ±0.0, plus hypothesis's own choice of floats
+bit_patterns = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(bits_of),
+)
+
+
+class TestShortestRepr:
+    @settings(max_examples=500)
+    @given(st.lists(bit_patterns, max_size=40))
+    def test_any_bit_pattern_matches_repr(self, patterns):
+        assert_matches_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    def test_special_values(self):
+        nan_bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                             0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        assert_matches_repr(np.concatenate([[0.0, -0.0, np.inf, -np.inf], nan_bits.view(np.float64)]))
+        assert shortest_repr(np.array([-0.0, -np.inf, np.nan])).tolist() == [b"-0.0", b"-inf", b"nan"]
+
+    def test_empty(self):
+        assert_matches_repr([])
+
+    def test_first_subnormals(self):
+        subnormals = np.arange(1, 2**20 + 1, dtype=np.uint64).view(np.float64)
+        assert_matches_repr(subnormals)
+        assert_matches_repr(-subnormals[:1000])
+
+    def test_powers_of_two(self):
+        powers = with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+        assert_matches_repr(powers)
+        assert_matches_repr(-powers)
+
+    def test_powers_of_ten(self):
+        # 10^k as the nearest double, its neighbours included
+        assert_matches_repr(with_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+    @pytest.mark.parametrize("switch", [1e-4, 1e-5, 1e16, 1e17])
+    def test_format_switch_points(self, switch):
+        # repr is positional for a decimal point position in -3..16
+        around = [switch * m for m in (0.5, 0.9, 0.99999, 1.0, 1.00001, 1.5, 9.999999999999999)]
+        assert_matches_repr(with_neighbours(around + [-x for x in around]))
+
+    def test_integers_around_2_to_53(self):
+        ints = np.arange(2**53 - 2000, 2**53 + 2000, dtype=np.int64).astype(np.float64)
+        assert_matches_repr(ints)
+        assert_matches_repr(np.arange(-1000, 1000, dtype=np.float64))
+
+    def test_extremes(self):
+        big = np.finfo(np.float64).max
+        assert_matches_repr(with_neighbours([MAX_MAGNITUDE, -MAX_MAGNITUDE,
+                                             np.finfo(np.float64).tiny]))
+        assert_matches_repr([big, -big, np.nextafter(big, 0), -np.nextafter(big, 0)])
+
+    def test_more_values_than_a_chunk(self):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.normal(0, 100, 5000), rng.normal(0, 1e-6, 5000),
+                                 rng.integers(0, 2**64, 5000, dtype=np.uint64).view(np.float64)])
+        assert_matches_repr(values)

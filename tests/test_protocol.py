@@ -809,6 +809,24 @@ class TestTraceCsv:
             trace.write_csv(tmp_path / "trace.csv")
             assert (tmp_path / "trace.csv").read_bytes() == text.encode()
 
+    def test_every_value_format_in_a_run_matches_reference_and_file(self, tmp_path):
+        # a script of huge, tiny, 1e-5 and 1e17 values and initial values
+        # below 1e-3 and near 1e16, so that the trace holds positive and
+        # negative exponents of two and three digits and both positional forms
+        cfg = SimulationConfig(
+            complete_graph(5), CommunityLayout([range(5)], [3, 4]),
+            PresetValues((0.00123, 1234567890123456.0, -42.0, 0.0, 0.0)),
+            RoundScript((1e300, -1e-300, 1e-5, 1e17)), 0.5, 40, 0)
+        trace = run(cfg)
+        text = trace.to_csv_text()
+        assert text == reference_csv_text(trace)
+        trace.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == text.encode()
+        values = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
+        for form in ("e+", "e-", "e+299", "e-05", "0.00", ".0", "-"):
+            assert any(form in v for v in values), form
+        assert any("e" not in v and not v.endswith(".0") for v in values)
+
     @staticmethod
     def grid_trace(values, malicious=()):
         n = values.shape[1]

@@ -4,8 +4,11 @@ A community reaches agreement when the spread of its legitimate members'
 values stays below epsilon over the final window of rounds.  It is safe when
 every legitimate member's value stays, at every round, inside the community's
 initial value interval widened by tau; the interval is the legitimate
-members' initial min/max.  Rows after the trace's last distinct one repeat
-it, so safety is checked on the rows up to that one.
+members' initial min/max.  A trace keeps its rows up to the last distinct
+one and how often that one repeats, and every check reads only those rows:
+safety needs no repeat beyond the first copy, the final window is the
+head's last rows with the repeats standing in for the rest, and the final
+values are the head's last row.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def spread(trace: Trace, community: int, t: int) -> float:
     members = sorted(trace.config.layout.legitimate_in(community))
     if not members:
         return 0.0
-    row = trace.values[t, members]
+    row = trace.row(t)[members]
     return float(row.max() - row.min())
 
 
@@ -86,6 +89,22 @@ def _clusters(ids: list[int], finals: np.ndarray, delta: float) -> tuple[Cluster
     )
 
 
+def require_verdict_parameters(
+    rows: int, epsilon: float, delta: float, window: int, tau: float = 1e-9
+) -> None:
+    """Raise ValueError unless rac_verdict takes these parameters for a trace
+    of `rows` rows, so that a caller can check them before it runs."""
+    # every comparison with nan is false, so nan fails this test too
+    if not (0 < epsilon < np.inf and 0 < delta < np.inf and 0 <= tau < np.inf):
+        raise ValueError(
+            "epsilon and delta must be finite and positive, tau finite and non-negative"
+        )
+    if window < 1:
+        raise ValueError("agreement window must be at least 1")
+    if rows < window:
+        raise ValueError(f"trace has {rows} rows, fewer than the agreement window {window}")
+
+
 def rac_verdict(
     trace: Trace,
     epsilon: float = 1e-6,
@@ -94,20 +113,12 @@ def rac_verdict(
     tau: float = 1e-9,
 ) -> RacVerdict:
     """Classify every community of the trace for agreement and safety."""
-    # every comparison with nan is false, so nan fails this test too
-    if not (0 < epsilon < np.inf and 0 < delta < np.inf and 0 <= tau < np.inf):
-        raise ValueError(
-            "epsilon and delta must be finite and positive, tau finite and non-negative"
-        )
-    if window < 1:
-        raise ValueError("agreement window must be at least 1")
-    rows = trace.values
-    if rows.shape[0] < window:
-        raise ValueError(
-            f"trace has {rows.shape[0]} rows, fewer than the agreement window {window}"
-        )
+    require_verdict_parameters(trace.rounds + 1, epsilon, delta, window, tau)
     layout = trace.config.layout
-    head = rows[: trace.last_distinct + 1]  # later rows repeat its last one
+    head = trace.head
+    # the last `window` rows: the repeats of the head's last row, preceded
+    # by as many head rows as the window has room for
+    window_rows = head[-max(window - trace.repeats, 1):]
     outcomes = []
     for i in range(len(layout)):
         members = sorted(layout.legitimate_in(i))
@@ -116,9 +127,9 @@ def rac_verdict(
                 CommunityOutcome(i, True, None, True, None, ())
             )
             continue
-        tail = rows[-window:, members]
+        tail = window_rows[:, members]
         agreement = bool((tail.max(axis=1) - tail.min(axis=1) < epsilon).all())
-        finals = rows[-1, members]
+        finals = head[-1, members]
         clusters = _clusters(members, finals, delta)
         limit = float(finals.mean()) if agreement else None
         lo, hi = trace.initial_interval(i)

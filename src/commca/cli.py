@@ -26,7 +26,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import format_verdict, rac_verdict, summary_lines
+from .analysis import format_verdict, rac_verdict, require_verdict_parameters, summary_lines
 from .graph import parse_communities, parse_graph
 from .protocol import ConfigError, run
 from .robustness import (
@@ -107,8 +107,16 @@ def _cmd_check(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _build_config(args)
+    params = dict(epsilon=args.eps, delta=args.delta, window=args.window)
+    # the verdict's flags are checked before any round is run, but a config
+    # problem is reported first; run() validates the config it runs
+    try:
+        require_verdict_parameters(config.rounds + 1, **params)
+    except ValueError:
+        config.validate()
+        raise
     trace = run(config)
-    verdict = rac_verdict(trace, epsilon=args.eps, delta=args.delta, window=args.window)
+    verdict = rac_verdict(trace, **params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv")
@@ -137,8 +145,9 @@ def _cmd_verify_prop1(args) -> int:
     if args.samples < 1:
         raise ConfigError(["sample count must be positive"])
     config = _build_config(args)
-    # first, so that an invalid config exits before any output; the trace is
-    # dropped at once, so the community checks add nothing to peak memory
+    # first, so that an invalid config exits before any output; run() keeps
+    # only the rows up to the fixed point, and the trace is dropped at once,
+    # so the community checks add nothing to peak memory
     isolation = run(config).isolation
     g, layout = config.graph, config.layout
     certified: list[int] = []

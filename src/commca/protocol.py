@@ -29,9 +29,12 @@ initial interval; isolation reports are read off those flags after the
 last round.
 A round depends only on the legitimate values before it and on what the
 script shows, so once the script holds its last entry, a row that repeats
-its predecessor bit for bit repeats in every later round: run() stops there,
-fills the rest of the trace with copies and counts that round's isolation
-flags once for each later round.  The CSV writer writes bytes: rows up to
+its predecessor bit for bit repeats in every later round: run() stops there
+and counts that round's isolation flags once for each later round.  It keeps
+only the rows up to the last distinct one, in a buffer that grows
+geometrically from a first chunk of about 1 MB, and the trace is that head
+plus a repeat count; the full array is built only for a caller that asks for
+Trace.values.  The CSV writer writes bytes: rows up to
 the last distinct one become numpy byte-string cells a block of rounds at a
 time, and each repeat of that row is its bytes in a reused buffer with only
 the round's digits patched in.  Each distinct bit pattern is formatted once,
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import io
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import Any, Iterable, Mapping, Sequence
@@ -63,6 +67,10 @@ MAX_MAGNITUDE = 1e300
 # Cells the CSV writer formats and writes at once, so that each of its
 # temporary arrays stays near 200 KB however long the trace is.
 _BLOCK_CELLS = 4096
+
+# Float64 cells (1 MB) in run()'s first chunk of trace rows, which doubles
+# each time it fills; a 500-round run of 158 agents fits in the first chunk.
+_CHUNK_CELLS = 1 << 17
 
 
 class ConfigError(ValueError):
@@ -270,40 +278,76 @@ class IsolationReport:
         return self.violations == 0
 
 
-@dataclass
 class Trace:
-    """values[t, u] is agent u's stored value at round t (row 0 is initial).
+    """A run's stored values: the distinct head and a repeat count.
+
+    head[t, u] is agent u's stored value at round t (row 0 is initial) for t
+    up to last_distinct, and each of the `repeats` later rounds repeats the
+    head's last row bit for bit.  run() passes the rows it computed and where
+    they stop changing; a trace built by hand from a full array, as
+    Trace(values, config, intervals, isolation), is a head with zero repeats,
+    and finds its last distinct row itself, so values must not change after.
+    values is the full array, built on first use and read-only; nothing in
+    commca reads it.
 
     write_csv writes the trace as CSV bytes, one line per agent and round, and
     to_csv_text returns the same bytes as text.  A value is written as
     repr(float(v)) writes it, formatted by the vectorized shortest round-trip
     kernel of commca._floatfmt (Schubfach; Giulietti 2020, cf. Adams's Ryu,
     PLDI 2018).  The writer holds a block of about _BLOCK_CELLS cells at a
-    time, never the whole text.  last_distinct is computed once, on first
-    use, so values must not change after that.
+    time, never the whole text.
     """
 
-    values: np.ndarray
-    config: SimulationConfig
-    legitimate_intervals: tuple[tuple[float, float] | None, ...]
-    isolation: tuple[IsolationReport, ...]
+    def __init__(
+        self,
+        head: np.ndarray,
+        config: SimulationConfig,
+        legitimate_intervals: tuple[tuple[float, float] | None, ...],
+        isolation: tuple[IsolationReport, ...],
+        repeats: int = 0,
+        last_distinct: int | None = None,
+    ):
+        if last_distinct is None:  # rows after the last change repeat it
+            bits = head.view(np.uint64)
+            changed = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
+            last_distinct = int(changed[-1]) + 1 if changed.size else 0
+        self.head = head[: last_distinct + 1]
+        self.repeats = repeats + head.shape[0] - 1 - last_distinct
+        self.config = config
+        self.legitimate_intervals = legitimate_intervals
+        self.isolation = isolation
+
+    @property
+    def last_distinct(self) -> int:
+        """The row after which every row repeats it bit for bit."""
+        return self.head.shape[0] - 1
 
     @property
     def rounds(self) -> int:
-        return self.values.shape[0] - 1
-
-    def value(self, t: int, agent: int) -> float:
-        return float(self.values[t, agent])
-
-    def final_values(self) -> np.ndarray:
-        return self.values[-1]
+        return self.last_distinct + self.repeats
 
     @functools.cached_property
-    def last_distinct(self) -> int:
-        """The row after which every row repeats it bit for bit."""
-        bits = self.values.view(np.uint64)
-        changed = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
-        return int(changed[-1]) + 1 if changed.size else 0
+    def values(self) -> np.ndarray:
+        """values[t, u] for every round: the head, then its repeats."""
+        tail = np.broadcast_to(self.head[-1], (self.repeats, self.head.shape[1]))
+        full = np.concatenate([self.head, tail])
+        full.setflags(write=False)
+        return full
+
+    def row(self, t: int) -> np.ndarray:
+        """The agents' values at round t, negative t counting back from the
+        end as values[t] does."""
+        size = self.rounds + 1
+        t = operator.index(t)
+        if not -size <= t < size:
+            raise IndexError(f"index {t} is out of bounds for axis 0 with size {size}")
+        return self.head[min(t % size, self.last_distinct)]
+
+    def value(self, t: int, agent: int) -> float:
+        return float(self.row(t)[agent])
+
+    def final_values(self) -> np.ndarray:
+        return self.head[-1]
 
     def initial_interval(self, community: int) -> tuple[float, float] | None:
         """Min/max initial value over the community's legitimate members;
@@ -313,7 +357,7 @@ class Trace:
     def _write_csv(self, fh) -> None:
         # fh takes bytes: a binary file, or a BytesIO for to_csv_text
         layout = self.config.layout
-        rows, n = self.values.shape
+        rows, n = self.rounds + 1, self.head.shape[1]
         lead = np.array([
             f",{u},{layout.community_of(u) + 1},"
             f"{'malicious' if layout.is_malicious(u) else 'legitimate'},"
@@ -321,7 +365,7 @@ class Trace:
         ], dtype="S")
         last = self.last_distinct
         # each distinct bit pattern formatted once (-0.0 and 0.0 differ)
-        distinct, inverse = np.unique(self.values[: last + 1].view(np.uint64), return_inverse=True)
+        distinct, inverse = np.unique(self.head.view(np.uint64), return_inverse=True)
         reprs = np.strings.add(shortest_repr(distinct.view(np.float64)), b"\n")
         inverse = inverse.reshape(last + 1, n)
         block = max(1, _BLOCK_CELLS // max(n, 1))  # rounds per write
@@ -377,8 +421,11 @@ def run(config: SimulationConfig) -> Trace:
     the last round.
     From the first round at or after the script's last entry whose new row
     equals the row before it bit for bit, every later round repeats it, so
-    the loop stops there, copies that row to the end and counts that round's
-    flags once for each later round.
+    the loop stops there and counts that round's flags once for each later
+    round.  The rows and flags live in buffers that start at a chunk of
+    about 1 MB and double when full, so memory grows with the rounds that
+    change, not with the round count; the trace keeps the rows up to the
+    last distinct one and how often that one repeats.
     """
     config.validate()
     g, layout = config.graph, config.layout
@@ -407,14 +454,15 @@ def run(config: SimulationConfig) -> Trace:
     L = legit_arr.size
     # the trace, a bool flag per agent and round, and three 8-byte slots per
     # padded row entry: its index, its value and, as every row is at least two
-    # entries wide, room for the median vector and a flag buffer
+    # entries wide, room for the median vector and a flag buffer.  That is the
+    # worst case, checked before any round: a run need not reach a fixed point.
     if 8 * (T + 1) * n + L * T + 48 * int(half.sum()) > graph.physical_memory():
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     # no adversary behaves like a script that no agent shows
     adversary = config.adversary or AdversaryStrategy((0.0,))
-    # shown[t] is what every malicious agent displays at round t
+    # every malicious agent displays script[min(t, held)] at round t
     script = np.array(adversary.script, dtype=np.float64)
-    shown = script[np.minimum(np.arange(T + 1), script.size - 1)]
+    held = script.size - 1
     # p[:L] holds the legitimate values in legit_arr's order and p[L:n] what
     # the malicious agents show by default, slot[u] being agent u's place; each
     # fixed override gets a slot of its own after those, and the last two
@@ -453,7 +501,7 @@ def run(config: SimulationConfig) -> Trace:
         lo = hi
 
     def medians(t: int) -> np.ndarray:  # of legit_arr's agents at round t, from p[:L]
-        p[L:n] = shown[t]
+        p[L:n] = script[min(t, held)]
         for sort, idx, block, odd_out, odd_col, even_out, even_left, even_right in classes:
             # no index is out of range; unlike "raise", "clip" fills out unbuffered
             p.take(idx, out=block, mode="clip")
@@ -464,20 +512,34 @@ def run(config: SimulationConfig) -> Trace:
             even_out /= 2.0
         return med
 
-    rows = np.empty((T + 1, n), dtype=np.float64)
+    # rows[t] is the trace row of round t and outside[t, k] says whether
+    # legit_arr[k]'s median at round t left its community's interval.  Both
+    # hold `size` rounds and double in place (a realloc) when row t + 1 does
+    # not fit, so no view of either may outlive a round.
+    size = min(T + 1, max(2, _CHUNK_CELLS // max(n, 1)))
+    rows = np.empty((size, n), dtype=np.float64)
+    outside = np.empty((size, L), dtype=bool)
     rows[0] = x0
-    # legitimate and malicious agents together are all agents (validated)
-    rows[1:, mal_arr] = shown[1:, None]
+
+    def show(lo: int) -> None:  # rows lo.. of the buffer get the malicious columns
+        # legitimate and malicious agents together are all agents (validated)
+        rows[lo:, mal_arr] = script[np.minimum(np.arange(lo, size), held)][:, None]
+
+    show(1)
     x = p[:L]
 
     members = [np.array(sorted(s - layout.malicious), dtype=np.intp) for s in layout.subsets]
     intervals = [(float(x0[m].min()), float(x0[m].max())) if m.size else None for m in members]
-    # outside[t, k]: legit_arr[k]'s median at round t left its community's interval
     low, high = np.array([intervals[layout.community_of(u)] for u in legit_arr]).reshape(-1, 2).T
-    outside = np.empty((T, L), dtype=bool)
     above = np.empty(L, dtype=bool)
     kept = T  # rows of outside computed; the last one holds in every later round
+    last = T  # the last distinct row
     for t in range(T):
+        if t + 1 == size:
+            size = min(T + 1, 2 * size)
+            rows.resize((size, n), refcheck=False)
+            outside.resize((size, L), refcheck=False)
+            show(t + 1)
         m = medians(t)
         np.less(m, low, out=outside[t])
         np.greater(m, high, out=above)
@@ -488,11 +550,12 @@ def run(config: SimulationConfig) -> Trace:
         x += m
         rows[t + 1, legit_arr] = x
         # the fixed point; comparing bytes keeps -0.0 apart from 0.0
-        if t >= script.size - 1 and rows[t + 1].tobytes() == rows[t].tobytes():
-            rows[t + 2:] = rows[t + 1]
-            kept = t + 1
+        if t >= held and rows[t + 1].tobytes() == rows[t].tobytes():
+            kept, last = t + 1, t
             break
-    rows.setflags(write=False)
+    # rows may also repeat while the script has not yet reached its last entry
+    while last and rows[last].tobytes() == rows[last - 1].tobytes():
+        last -= 1
 
     reports = []
     for i, own in enumerate(members):
@@ -506,4 +569,6 @@ def run(config: SimulationConfig) -> Trace:
             first = (t, int(own[j]), float(medians(t)[cols[j]]))
         repeats = (T - kept) * int(bad[-1].sum())
         reports.append(IsolationReport(i, int(bad.sum()) + repeats, first))
-    return Trace(rows, config, tuple(intervals), tuple(reports))
+    rows.resize((last + 1, n), refcheck=False)  # drop the unused capacity
+    rows.setflags(write=False)
+    return Trace(rows, config, tuple(intervals), tuple(reports), T - last, last)

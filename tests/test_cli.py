@@ -338,6 +338,31 @@ class TestRun:
             "error: out of memory: a 5000-round trace of 26 agents does not fit in memory\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rounds", "10", "--window", "20"],
+             "trace has 11 rows, fewer than the agreement window 20"),
+            (["--eps", "nan"],
+             "epsilon and delta must be finite and positive, tau finite and non-negative"),
+            (["--delta", "0"],
+             "epsilon and delta must be finite and positive, tau finite and non-negative"),
+            (["--window", "0"], "agreement window must be at least 1"),
+            # the config's own problems still come first
+            (["--rounds", "0", "--window", "20"], "round count must be at least 1, got 0"),
+            (["--alpha", "2", "--eps", "nan"],
+             "alpha must lie strictly between 0 and 1, got 2.0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_verdict_flags_checked_before_any_round(self, flags, message, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr("commca.cli.run", lambda config: pytest.fail("run() was called"))
+        out = tmp_path / "o"
+        assert main(["run", "--example", "2", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_stray_table_entry_exit_code(self, tmp_path, capsys):
         doc = tmp_path / "doc.txt"
         doc.write_text(INTRUDER_DOC + "adversary\ntable 60.0\n4 0 90.0\n1 0 90.0\n")

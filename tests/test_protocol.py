@@ -29,9 +29,11 @@ from commca import (
     median,
     rac_verdict,
     run,
+    spread,
     step,
 )
-from commca.protocol import _BLOCK_CELLS, MAX_MAGNITUDE
+from commca.cli import main
+from commca.protocol import _BLOCK_CELLS, _CHUNK_CELLS, MAX_MAGNITUDE
 
 from reference import random_connected_graph, reference_csv_text, reversed_order_step
 
@@ -417,6 +419,186 @@ class TestFixedPointStop:
         before, last = (run(example3(rounds=r)).isolation[0].violations for r in (k, k - 1))
         assert before > last
         assert trace.isolation[0].violations == before + (1000 - k) * (before - last)
+
+
+def boundary_configs():
+    """Runs that reach a fixed point: a star and a K_5 whose malicious agent
+    follows a four-entry script within 60 rounds, and, at round 2590, a pair
+    that a malicious neighbor drags out of its interval in every round, the
+    repeats too."""
+    star = replace(star_config(alpha=0.5), rounds=400)
+    scripted = SimulationConfig(
+        complete_graph(5), CommunityLayout([range(5)], [4]),
+        PresetValues((1.0, 2.0, 3.0, 4.0, 0.0)), RoundScript((60.0, 10.0, -5.0, 2.5)),
+        0.5, 400, 0)
+    pulled = SimulationConfig(
+        complete_graph(3), CommunityLayout([range(3)], malicious={2}),
+        PresetValues((5.0, 5.0, 0.0)), ConstantValue(0.0), 0.5, 400, 0)
+    return {"star": star, "scripted": scripted, "pulled": pulled}
+
+
+def fixed_point(cfg) -> int:
+    """The first round that repeats its predecessor, from a long run."""
+    k = first_repeat(run(replace(cfg, rounds=4000)).values)
+    assert k > 2
+    return k
+
+
+def assert_trace_matches_reference(trace):
+    """run() against step(), the CSV against the one-f-string writer, and the
+    isolation reports against the median oracle."""
+    assert_run_matches_step(trace.config)
+    assert trace.to_csv_text() == reference_csv_text(trace)
+    assert_reports_match_medians(trace)
+
+
+class TestHeadOnlyStorage:
+    """run() keeps the rows up to the last distinct one and a repeat count;
+    nothing in commca builds the full array."""
+
+    def test_run_holds_only_the_head(self):
+        run(example1(rounds=2))  # imports and caches out of the measurement
+        tracemalloc.start()
+        try:
+            trace = run(example1())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 5001 x 158 float64 rows alone are 6.3 MB
+        assert peak < 2e6
+        assert (trace.last_distinct, trace.repeats, trace.rounds) == (327, 4673, 5000)
+        assert trace.head.shape == (328, 158)
+
+    def test_a_long_run_costs_no_more_than_its_head(self):
+        k = first_repeat(run(example3(rounds=1000)).values)
+        assert 0 < k < 1000
+        run(example3(rounds=2))
+        tracemalloc.start()
+        try:
+            trace = run(example3(rounds=200_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert (trace.last_distinct, trace.repeats) == (k - 1, 200_000 - k + 1)
+        # each community's violations of round k - 1 recur in each tail round
+        before, last = (run(example3(rounds=r)).isolation for r in (k, k - 1))
+        assert before[0].violations > last[0].violations
+        for i, report in enumerate(trace.isolation):
+            step_count = before[i].violations - last[i].violations
+            assert report.violations == before[i].violations + (200_000 - k) * step_count
+            assert report.first == before[i].first
+
+    def test_readers_never_build_the_full_array(self, monkeypatch, tmp_path, capsys):
+        def forbidden(trace):
+            raise AssertionError("Trace.values built")
+
+        monkeypatch.setattr(Trace, "values", property(forbidden))
+        trace = run(example3())
+        trace.write_csv(tmp_path / "trace.csv")
+        assert rac_verdict(trace, window=4000).outcome(0).safety is False
+        assert spread(trace, 1, 4000) == spread(trace, 1, -1) < 1e-6
+        assert trace.value(4000, 0) == float(trace.final_values()[0])
+        assert main(["run", "--example", "3", "--out", str(tmp_path)]) == 1
+        assert main(["verify-prop1", "--example", "1", "--mode", "sampled", "--seed", "42"]) == 0
+        assert "isolation ok over 5000 rounds" in capsys.readouterr().out
+
+
+class TestHeadTailBoundary:
+    """Rows, CSV bytes, reports and verdicts where the head ends, where the
+    run's buffers grow, and where the two meet."""
+
+    @pytest.mark.parametrize("name", ["star", "scripted", "pulled"])
+    def test_rounds_around_the_fixed_point(self, name):
+        base = boundary_configs()[name]
+        k = fixed_point(base)
+        for rounds in (k - 1, k, k + 1):
+            trace = run(replace(base, rounds=rounds))
+            assert_trace_matches_reference(trace)
+            last = min(rounds, k - 1)
+            assert (trace.last_distinct, trace.repeats) == (last, rounds - last)
+
+    @pytest.mark.parametrize("name", ["star", "scripted", "pulled"])
+    def test_buffer_growth_around_the_fixed_point(self, name, monkeypatch):
+        base = boundary_configs()[name]
+        n = base.graph.n
+        k = fixed_point(base)
+        base = replace(base, rounds=k + 50)
+        want = run(base)
+        assert want.last_distinct == k - 1
+        # first chunks ending just before, at and just after row k (the
+        # growth that row k needs is the fixed-point round's), and the least
+        for chunk in (k - 1, k, k + 1, 2):
+            monkeypatch.setattr("commca.protocol._CHUNK_CELLS", chunk * n)
+            trace = run(base)
+            assert_trace_matches_reference(trace)
+            assert np.array_equal(trace.head.view(np.uint64), want.head.view(np.uint64))
+            assert trace.isolation == want.isolation
+            # runs that end before the fixed point, at the first chunk's size +- 1
+            for rounds in (chunk - 2, chunk - 1, chunk):
+                if 1 <= rounds < k:
+                    assert_trace_matches_reference(run(replace(base, rounds=rounds)))
+
+    @pytest.mark.parametrize("rounds", [750, 799])
+    def test_rows_that_repeat_before_the_script_holds_are_repeats(self, rounds):
+        # example 3 repeats its rows from round 669 under its constant 60;
+        # this script shows 60 until round 799, so run() never stops early
+        cfg = replace(example3(rounds=rounds), adversary=RoundScript([60.0] * 800 + [0.0]))
+        trace = run(cfg)
+        assert (trace.last_distinct, trace.repeats) == (668, rounds - 668)
+        rebuilt = Trace(trace.values, cfg, (), ())
+        assert (rebuilt.last_distinct, rebuilt.repeats) == (668, rounds - 668)
+        assert trace.to_csv_text() == reference_csv_text(trace)
+
+    def test_first_chunk_holds_a_500_round_example1_run(self):
+        assert _CHUNK_CELLS // example1().graph.n >= 501
+
+    def test_verdict_over_windows_around_the_repeat_count(self):
+        cfg = replace(boundary_configs()["star"], rounds=100)
+        trace = run(cfg)
+        full = trace.values
+        rebuilt = Trace(full, cfg, trace.legitimate_intervals, trace.isolation)
+        assert (rebuilt.last_distinct, rebuilt.repeats) == (trace.last_distinct, trace.repeats)
+        r, last = trace.repeats, trace.last_distinct
+        # rows up to last - 3 spread at least epsilon, later ones less
+        spreads = full.max(axis=1) - full.min(axis=1)
+        epsilon = float(spreads[last - 3])
+        assert (np.diff(spreads[: last + 1]) < 0).all()
+        agreed = set()
+        for window in (1, r - 1, r, r + 1, r + 3, r + 4, cfg.rounds + 1):
+            verdict = rac_verdict(trace, epsilon=epsilon, window=window)
+            assert verdict == rac_verdict(rebuilt, epsilon=epsilon, window=window)
+            tail = full[-window:]
+            agreement = bool((tail.max(axis=1) - tail.min(axis=1) < epsilon).all())
+            assert verdict.outcome(0).agreement == agreement
+            agreed.add(agreement)
+        assert agreed == {True, False}
+        with pytest.raises(ValueError, match="fewer than the agreement window"):
+            rac_verdict(trace, window=cfg.rounds + 2)
+
+    def test_accessors_against_the_full_array(self):
+        cfg = replace(boundary_configs()["scripted"], rounds=100)
+        trace = run(cfg)
+        full = trace.values
+        r, last, size = trace.repeats, trace.last_distinct, cfg.rounds + 1
+        assert full.shape == (size, 5) and r > 0
+        with pytest.raises(ValueError):
+            full[0, 0] = 1.0
+        members = sorted(cfg.layout.legitimate_in(0))
+        for t in (0, 1, last - 1, last, last + 1, size - 1, -1, -r, -r - 1, -size, np.int64(3)):
+            assert np.array_equal(trace.row(t).view(np.uint64), full[t].view(np.uint64))
+            for u in range(5):
+                assert trace.value(t, u) == full[t, u]
+            row = full[t, members]
+            assert spread(trace, 0, t) == float(row.max() - row.min())
+        for t in (size, -size - 1):
+            with pytest.raises(IndexError):
+                full[t]
+            with pytest.raises(IndexError):
+                trace.value(t, 0)
+            with pytest.raises(IndexError):
+                spread(trace, 0, t)
+        assert np.array_equal(trace.final_values(), full[-1])
 
 
 class TestRun:

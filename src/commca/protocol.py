@@ -283,12 +283,12 @@ class Trace:
 
     head[t, u] is agent u's stored value at round t (row 0 is initial) for t
     up to last_distinct, and each of the `repeats` later rounds repeats the
-    head's last row bit for bit.  run() passes the rows it computed and where
-    they stop changing; a trace built by hand from a full array, as
-    Trace(values, config, intervals, isolation), is a head with zero repeats,
-    and finds its last distinct row itself, so values must not change after.
-    values is the full array, built on first use and read-only; nothing in
-    commca reads it.
+    head's last row bit for bit.  Trace(values, config, intervals, isolation,
+    repeats) takes rows 0.. of a run whose last row repeats `repeats` more
+    times and keeps them up to the last distinct one, so values must not
+    change after; run() passes the rows it computed, and a trace built by
+    hand from a full array has zero repeats.  The values attribute is the
+    full array, built on first use and read-only; nothing in commca reads it.
 
     write_csv writes the trace as CSV bytes, one line per agent and round, and
     to_csv_text returns the same bytes as text.  A value is written as
@@ -300,19 +300,19 @@ class Trace:
 
     def __init__(
         self,
-        head: np.ndarray,
+        values: np.ndarray,
         config: SimulationConfig,
         legitimate_intervals: tuple[tuple[float, float] | None, ...],
         isolation: tuple[IsolationReport, ...],
         repeats: int = 0,
-        last_distinct: int | None = None,
     ):
-        if last_distinct is None:  # rows after the last change repeat it
-            bits = head.view(np.uint64)
-            changed = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
-            last_distinct = int(changed[-1]) + 1 if changed.size else 0
-        self.head = head[: last_distinct + 1]
-        self.repeats = repeats + head.shape[0] - 1 - last_distinct
+        # rows after the last change repeat it; comparing bytes keeps -0.0
+        # apart from 0.0
+        last = values.shape[0] - 1
+        while last > 0 and values[last].tobytes() == values[last - 1].tobytes():
+            last -= 1
+        self.head = values[: last + 1]
+        self.repeats = repeats + values.shape[0] - 1 - last
         self.config = config
         self.legitimate_intervals = legitimate_intervals
         self.isolation = isolation
@@ -533,7 +533,6 @@ def run(config: SimulationConfig) -> Trace:
     low, high = np.array([intervals[layout.community_of(u)] for u in legit_arr]).reshape(-1, 2).T
     above = np.empty(L, dtype=bool)
     kept = T  # rows of outside computed; the last one holds in every later round
-    last = T  # the last distinct row
     for t in range(T):
         if t + 1 == size:
             size = min(T + 1, 2 * size)
@@ -551,11 +550,8 @@ def run(config: SimulationConfig) -> Trace:
         rows[t + 1, legit_arr] = x
         # the fixed point; comparing bytes keeps -0.0 apart from 0.0
         if t >= held and rows[t + 1].tobytes() == rows[t].tobytes():
-            kept, last = t + 1, t
+            kept = t + 1
             break
-    # rows may also repeat while the script has not yet reached its last entry
-    while last and rows[last].tobytes() == rows[last - 1].tobytes():
-        last -= 1
 
     reports = []
     for i, own in enumerate(members):
@@ -569,6 +565,6 @@ def run(config: SimulationConfig) -> Trace:
             first = (t, int(own[j]), float(medians(t)[cols[j]]))
         repeats = (T - kept) * int(bad[-1].sum())
         reports.append(IsolationReport(i, int(bad.sum()) + repeats, first))
-    rows.resize((last + 1, n), refcheck=False)  # drop the unused capacity
+    rows.resize((kept + 1, n), refcheck=False)  # drop the unused capacity
     rows.setflags(write=False)
-    return Trace(rows, config, tuple(intervals), tuple(reports), T - last, last)
+    return Trace(rows, config, tuple(intervals), tuple(reports), T - kept)

@@ -16,17 +16,16 @@ run() tabulates the whole malicious schedule once.  The community predicate
 guarantees isolation against any presentation, but agreement only when each
 malicious agent shows all its neighbors one value: a table showing 1.0 to two
 legitimate agents of a certified K_6 and 0.0 to the other two splits it.
-Each of run()'s rounds is the update rule alone, in buffers allocated once
-before the first: legitimate agents' neighbor rows are padded with
-infinities to the even power-of-two width of their class, so a class's
-medians sit in the same columns, and each class is gathered and sorted in
-place once a round.  The legitimate values are kept in class order, odd
-degree before even degree within a class, so that a class's odd rows copy
-one column and its even rows average two, each into its own slice of one
-median vector; the trace keeps agent-id order, written by one scatter a
-round.  A bool flag per agent says whether its median left its community's
-initial interval; isolation reports are read off those flags after the
-last round.
+Each of run()'s rounds is the update rule alone: legitimate agents'
+neighbor rows are padded with infinities to the even power-of-two width 2h
+of their class, and each class is gathered and sorted in place once a
+round, in buffers allocated before the first.  Every median is the mean of
+column h - 1 and column h (even degree) or h - 1 again (odd degree), as
+(a + a) / 2 == a within MAX_MAGNITUDE.  Each trace row is one gather, in
+agent-id order, from the legitimate values (kept in class order) and what
+the malicious agents show.  A bool flag per agent says whether its median
+left its community's initial interval; isolation reports are read off those
+flags after the last round.
 A round depends only on the legitimate values before it and on what the
 script shows, so once the script holds its last entry, a row that repeats
 its predecessor bit for bit repeats in every later round: run() stops there
@@ -199,9 +198,8 @@ class SimulationConfig:
         except ValueError as exc:
             problems.append(str(exc))
         else:
-            isolated = [
-                u for u in sorted(self.layout.legitimate) if self.graph.degree(u) == 0
-            ]
+            deg = np.diff(self.graph.indptr)
+            isolated = [u for u in sorted(self.layout.legitimate) if deg[u] == 0]
             if isolated:
                 problems.append(f"legitimate agents with no neighbors: {isolated}")
         if self.layout.malicious and self.adversary is None:
@@ -411,11 +409,12 @@ def run(config: SimulationConfig) -> Trace:
     """Run the full simulation and collect the trace.
 
     Equivalent to iterating step() from the initial values.  The legitimate
-    values are one vector in class order (width class, then odd degree
-    before even degree), updated in place.  Each round sorts each class's
-    padded neighbor rows in a buffer of its own, writes the class's odd and
-    even medians into their slices of one median vector and scatters the
-    new values into the trace row, which stays in agent-id order.  Whether
+    values are one vector in class order (width class, then agent id),
+    updated in place.  Each round sorts each class's padded neighbor rows
+    in a buffer of its own and writes the class's medians, each the mean of
+    two sorted entries, into its slice of one median vector; the trace row,
+    in agent-id order, is one gather from that value vector and from what
+    the malicious agents show.  Whether
     each median left its community's initial interval is kept as one byte
     (a bool flag), and the isolation reports are read off those flags after
     the last round.
@@ -448,14 +447,14 @@ def run(config: SimulationConfig) -> Trace:
     # frexp's exponent is the bit length of an integer below 2^53.
     deg = np.diff(g.indptr)
     half = 1 << np.frexp((deg[legit] + 1) // 2 - 1)[1].astype(np.int64)
-    # class order: by class, odd degree before even degree within a class
-    by_class = np.lexsort((deg[legit] % 2 == 0, half))
+    by_class = np.argsort(half, kind="stable")
     legit_arr, half = legit[by_class], half[by_class]
     L = legit_arr.size
     # the trace, a bool flag per agent and round, and three 8-byte slots per
     # padded row entry: its index, its value and, as every row is at least two
-    # entries wide, room for the median vector and a flag buffer.  That is the
-    # worst case, checked before any round: a run need not reach a fixed point.
+    # entries wide, roughly room for each row's median and right-entry place.
+    # That is the worst case, checked before any round: a run need not reach a
+    # fixed point.
     if 8 * (T + 1) * n + L * T + 48 * int(half.sum()) > graph.physical_memory():
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     # no adversary behaves like a script that no agent shows
@@ -479,10 +478,12 @@ def run(config: SimulationConfig) -> Trace:
     source[g.edge_positions(keys[:, 1], keys[:, 0])] = n + np.arange(len(keys))
 
     # -inf pads on the left, +inf on the right and one more +inf for odd
-    # degree put the median at column h - 1 (odd degree) or make it the mean
-    # of columns h - 1 and h (even degree).  A class is a run of legit_arr,
-    # its odd rows first; each writes its medians into its run of `med`.
-    # j[r, c] is the place in its row of the entry at column c of row r.
+    # degree put a sorted row's median at column h - 1 (odd degree) or make
+    # it the mean of columns h - 1 and h (even degree).  right[r] is the place
+    # in the flat block of column h, or of h - 1 again for odd degree, as
+    # (a + a) / 2 == a within MAX_MAGNITUDE.  A class is a run of legit_arr
+    # and of `med`; j[r, c] is the place in its row of the entry at column c
+    # of row r.
     med = np.empty(L)
     classes = []
     lo = 0
@@ -495,21 +496,19 @@ def run(config: SimulationConfig) -> Trace:
         row = (j >= 0) & (j < d[:, None])
         idx[row] = source[(g.indptr[us][:, None] + j)[row]]
         block = np.empty(idx.shape)
-        mid = lo + int(np.count_nonzero(d % 2))
-        classes.append((h > 1, idx, block, med[lo:mid], block[: mid - lo, h - 1],
-                        med[mid:hi], block[mid - lo :, h - 1], block[mid - lo :, h]))
+        right = 2 * h * np.arange(hi - lo) + h - d % 2
+        classes.append((idx, block, block[:, h - 1], right, med[lo:hi]))
         lo = hi
 
     def medians(t: int) -> np.ndarray:  # of legit_arr's agents at round t, from p[:L]
         p[L:n] = script[min(t, held)]
-        for sort, idx, block, odd_out, odd_col, even_out, even_left, even_right in classes:
+        for idx, block, left, right, out in classes:
             # no index is out of range; unlike "raise", "clip" fills out unbuffered
             p.take(idx, out=block, mode="clip")
-            if sort:  # a row two wide has its median in the same place unsorted
-                block.sort(axis=1)
-            odd_out[:] = odd_col
-            np.add(even_left, even_right, out=even_out)
-            even_out /= 2.0
+            block.sort(axis=1)
+            block.take(right, out=out, mode="clip")
+            out += left
+            out /= 2.0
         return med
 
     # rows[t] is the trace row of round t and outside[t, k] says whether
@@ -520,12 +519,6 @@ def run(config: SimulationConfig) -> Trace:
     rows = np.empty((size, n), dtype=np.float64)
     outside = np.empty((size, L), dtype=bool)
     rows[0] = x0
-
-    def show(lo: int) -> None:  # rows lo.. of the buffer get the malicious columns
-        # legitimate and malicious agents together are all agents (validated)
-        rows[lo:, mal_arr] = script[np.minimum(np.arange(lo, size), held)][:, None]
-
-    show(1)
     x = p[:L]
 
     members = [np.array(sorted(s - layout.malicious), dtype=np.intp) for s in layout.subsets]
@@ -538,7 +531,6 @@ def run(config: SimulationConfig) -> Trace:
             size = min(T + 1, 2 * size)
             rows.resize((size, n), refcheck=False)
             outside.resize((size, L), refcheck=False)
-            show(t + 1)
         m = medians(t)
         np.less(m, low, out=outside[t])
         np.greater(m, high, out=above)
@@ -547,7 +539,9 @@ def run(config: SimulationConfig) -> Trace:
         x *= alpha
         m *= 1.0 - alpha
         x += m
-        rows[t + 1, legit_arr] = x
+        # slot[u] is agent u's place in p, which now holds round t + 1
+        p[L:n] = script[min(t + 1, held)]
+        p.take(slot, out=rows[t + 1], mode="clip")
         # the fixed point; comparing bytes keeps -0.0 apart from 0.0
         if t >= held and rows[t + 1].tobytes() == rows[t].tobytes():
             kept = t + 1

@@ -371,7 +371,8 @@ def is_community(
     outside = g.external_degrees(members)
     nodes = tuple(sorted(outside))
     ext = max(outside.values())
-    dmin = min(g.degree(u) - e for u, e in outside.items())  # induced degrees
+    deg = np.diff(g.indptr)
+    dmin = min(deg.item(u) - e for u, e in outside.items())  # induced degrees
     required = 2 * malicious_count + ext + 1
     s = malicious_count + 1
     k = _least_non_full_size(dmin, ext)

@@ -361,6 +361,29 @@ class TestRunMatchesStep:
             events += assert_reports_match_medians(trace)
         assert events > 100
 
+    def test_bitwise_equality_on_odd_medians_at_the_extremes(self):
+        # run() takes an odd median a as (a + a) / 2: for each a below, agents
+        # of degrees 1, 3 and 5 (widths 2, 4 and 8) see only malicious agents
+        # 0-4, which show them a between as many values at or below
+        # min(a, -1) as at or above max(a, 1), so their median is a in every
+        # round
+        extremes = (5e-324, -0.0, MAX_MAGNITUDE, -MAX_MAGNITUDE)
+        edges, entries, init = [], {}, [0.0] * 5
+        for a in extremes:
+            below, above = min(a, -1.0), max(a, 1.0)
+            for shown in ((a,), (below, a, above), (below, below, a, above, above)):
+                u = len(init)
+                init.append(a)
+                for m, value in enumerate(shown):
+                    edges.append((m, u))
+                    entries[(m, u)] = value
+        g = Graph(len(init), edges)
+        layout = CommunityLayout([range(len(init))], malicious=range(5))
+        trace = assert_run_matches_step(SimulationConfig(
+            g, layout, PresetValues(tuple(init)), PerNeighborTable(entries, 0.0), 0.25, 3, 0))
+        # 0.25 * a + 0.75 * a is a again for each, the sign of -0.0 included
+        assert trace.values[1, 5:].tobytes() == np.repeat(extremes, 3).tobytes()
+
 
 def first_repeat(values) -> int:
     """The first row that repeats its predecessor bit for bit (0 if none)."""

@@ -56,6 +56,13 @@ def _resolve_cap(force: bool) -> int | None:
     return cap
 
 
+def _read_document(path: str) -> str:
+    """A graph, community or scenario file's text with every line ending
+    kept, so that only '\n' ends a line, as the readers count lines."""
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
 def _build_config(args):
     """The config a command works on, not yet validated: run() validates the
     config it runs, and a command that does not run it validates it itself."""
@@ -63,7 +70,7 @@ def _build_config(args):
                  if getattr(args, key, None) is not None}
     if args.example is not None:  # the seed also shapes an example's graph
         return EXAMPLES[args.example](**overrides)
-    config, problems = read_scenario(Path(args.scenario).read_text())
+    config, problems = read_scenario(_read_document(args.scenario))
     config = replace(config, **overrides)
     if problems:  # reported together with the config's own, as load_scenario does
         raise ConfigError(problems + config.validation_problems())
@@ -72,7 +79,7 @@ def _build_config(args):
 
 def _cmd_check(args) -> int:
     cap = _resolve_cap(args.force)
-    g = parse_graph(Path(args.graph).read_text())
+    g = parse_graph(_read_document(args.graph))
     modes = [m for m in (args.rs, args.r, args.community) if m is not None]
     if len(modes) != 1:
         raise ConfigError(["pass exactly one of --rs, --r, --community"])
@@ -83,7 +90,7 @@ def _cmd_check(args) -> int:
         return 0 if witness.robust else 1
     if args.communities is None:
         raise ConfigError(["--community needs a --communities file"])
-    layout = parse_communities(Path(args.communities).read_text())
+    layout = parse_communities(_read_document(args.communities))
     try:
         layout.require_covering(g)
     except ValueError as exc:

@@ -14,17 +14,26 @@ Graph() checks all edges at once; only when that check fails does a plain
 loop name the first bad edge in input order, by the one edge rule
 (_edge_problem) that read_graph's line-by-line pass also applies.
 
-Text is read line by line, and only '\n' ends a line, so the line numbers in
-error messages are those of `grep -n`.  The graph section and the adversary
-table are tokenized in bulk, with Python's int() and float() applied to the
-whole token list.  A document with an error is read again line by line, and
-that pass names the first bad line in document order.
+Only '\n' ends a line, so the line numbers in error messages are those of
+`grep -n`.  A document is read as slices of its text, each with the number
+of its first line; no Python object is made per line unless a line needs its
+own pass.  The edge lines of a graph and the entry lines of an adversary
+table go through one bulk tokenizer, bulk_tokens: a regular expression
+checks the shape of the whole slice, and only when every line that is not
+blank or '#' holds the right number of tokens of ASCII digits (ids of at
+most 18 digits) and, for the table, a printable ASCII value does it hand
+the tokens on.  numpy converts a graph's ids at once; a table's ids go
+through int() and its values through float().  Anything else (a sign, '_',
+a non-ASCII digit or space, a longer id, a bad token or a bad edge) goes to
+the line-by-line pass, the only code that reads such input or names an
+error: the first bad line in document order.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+import re
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -377,12 +386,27 @@ class CommunityLayout:
         return f"CommunityLayout(sizes=[{sizes}], malicious={len(self._malicious)})"
 
 
-def content_lines(text: str) -> list[tuple[int, str]]:
-    """The stripped lines of `text` with their 1-based line numbers, minus
-    blank lines and lines starting with '#'.  Only '\n' ends a line; the
-    '\r' of a CRLF ending is stripped with the rest of the whitespace."""
+def content_lines(text: str, start: int = 1) -> list[tuple[int, str]]:
+    """The stripped lines of `text` with their line numbers, the first line
+    being number `start`, minus blank lines and lines starting with '#'.
+    Only '\n' ends a line; the '\r' of a CRLF ending is stripped with the
+    rest of the whitespace."""
     lines = map(str.strip, text.split("\n"))
-    return [item for item in enumerate(lines, start=1) if item[1] and item[1][0] != "#"]
+    return [item for item in enumerate(lines, start) if item[1] and item[1][0] != "#"]
+
+
+# a line neither blank nor '#': '.' matches all but '\n', and \s is what
+# str.strip() strips
+_CONTENT = re.compile(r"^[^\S\n]*[^\s#].*", re.M)
+
+
+def head_line(text: str, start: int = 1) -> tuple[int, str, int] | None:
+    """The first of content_lines(text, start), with the offset in `text`
+    at which the next line starts; None when `text` has no such line."""
+    found = _CONTENT.search(text)
+    if found is None:
+        return None
+    return start + text.count("\n", 0, found.start()), found.group().strip(), found.end() + 1
 
 
 def read_int(lineno: int, token: str, what: str = "integer") -> int:
@@ -392,26 +416,60 @@ def read_int(lineno: int, token: str, what: str = "integer") -> int:
         raise FormatError(f"line {lineno}: bad {what} {token!r}") from None
 
 
-def split_lines(lines: list[tuple[int, str]], width: int) -> list[str] | None:
-    """The tokens of the numbered lines, in order, or None when some line's
-    token count is not `width`."""
-    texts = list(map(operator.itemgetter(1), lines))
-    if list(map(len, map(str.split, texts))).count(width) != len(texts):
-        return None
-    return " ".join(texts).split()
+# Tokens of the lines bulk_tokens accepts.  On such lines str.split() and
+# numpy's text parser see the same tokens, and an id fits int64.
+_SPACE = "[ \t\r\x0b\x0c]"  # the ASCII whitespace that does not end a line
+_ID, _VALUE = "[0-9]{1,18}", "[!-\"$-~]+"  # a value: printable ASCII but '#'
 
 
-def read_graph(lines: list[tuple[int, str]]) -> Graph:
-    """Read numbered graph lines: `n <count>`, then one `u v` per edge.
+def _shape(tokens: tuple[str, ...]) -> re.Pattern[str]:
+    # A line matches in one way only, so a text that does not match fails in
+    # time linear in its length: no split of one line's spaces between two
+    # parts of the pattern, no line that two alternatives both accept.
+    row = f"{_SPACE}+".join(tokens)
+    line = f"{_SPACE}*(?:{row}{_SPACE}*|#[^\n]*)?"
+    return re.compile(f"(?:{line}\n)*{line}")
 
-    The edge lines are split and converted in bulk and checked by Graph().
-    When that fails they are read again one at a time, and only that pass
-    names the error: the first line, in file order, that is not two integers
-    or whose edge breaks the edge rule (_edge_problem) Graph() applies too.
+
+_SHAPES = {2: _shape((_ID, _ID)), 3: _shape((_ID, _ID, _VALUE))}
+_COMMENT = re.compile("#[^\n]*")
+# Characters a shape is checked on at once, up to the end of a line.  The
+# matcher's backtracking stack grows with the lines it has matched, and past
+# about 30,000 lines each further line costs it four times as much.
+_CHUNK = 1 << 16
+
+
+def bulk_tokens(text: str, width: int) -> str | None:
+    """The tokens of `text`, lines of `width` tokens (2 or 3), as one text
+    of whitespace-separated tokens: `text` without its '#' lines.  None
+    unless every line that is neither blank nor '#' holds `width` tokens
+    apart by ASCII whitespace: two ids of at most 18 ASCII digits and, for
+    width 3, a value of printable ASCII but '#'.  A caller reads anything
+    else (a sign, '_', a non-ASCII digit or space, a longer id) in its
+    line-by-line pass, which alone names an error."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        if _SHAPES[width].fullmatch(text, start, end) is None:
+            return None
+        start = end
+    return _COMMENT.sub("", text) if "#" in text else text
+
+
+def read_graph(text: str, start: int = 1) -> Graph:
+    """Read graph lines, the first numbered `start`: `n <count>`, then one
+    `u v` per edge.
+
+    The edge lines go through bulk_tokens, numpy converts the ids and
+    Graph() checks the edges.  When that fails they are read again one at
+    a time, and only that pass names the error: the first line, in file
+    order, that is not two integers or whose edge breaks the edge rule
+    (_edge_problem) Graph() applies too.
     """
-    if not lines:
+    head = head_line(text, start)
+    if head is None:
         raise FormatError("missing 'n <count>' line")
-    (lineno, line), edge_lines = lines[0], lines[1:]
+    lineno, line, rest = head
     tokens = line.split()
     if len(tokens) != 2 or tokens[0] != "n":
         raise FormatError(f"line {lineno}: expected 'n <count>', got {line!r}")
@@ -421,14 +479,17 @@ def read_graph(lines: list[tuple[int, str]]) -> Graph:
     if n * _AGENT_BYTES > physical_memory():  # refused before anything is allocated
         raise MemoryError(f"{n} agents need about {n * _AGENT_BYTES} bytes")
 
-    tokens = split_lines(edge_lines, 2)
-    if tokens is not None:
+    edge_lines = text[rest:]
+    edges = bulk_tokens(edge_lines, 2)
+    if edges is not None:
+        # numpy reads a text of whitespace alone as one 0
+        ids = np.empty(0, np.int64) if edges.isspace() else np.fromstring(edges, np.int64, sep=" ")
         try:
-            return Graph(n, id_array(list(map(int, tokens))).reshape(-1, 2))
-        except ValueError:  # a token that is not an integer, or a bad edge
+            return Graph(n, ids.reshape(-1, 2))
+        except ValueError:  # a bad edge
             pass
     seen: set[tuple[int, int]] = set()  # only a document with an error gets here
-    for lineno, line in edge_lines:
+    for lineno, line in content_lines(edge_lines, lineno + 1):
         tokens = line.split()
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -446,7 +507,7 @@ def parse_graph(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are ignored.
     """
-    return read_graph(content_lines(text))
+    return read_graph(text)
 
 
 def format_graph(g: Graph) -> str:

@@ -21,7 +21,12 @@ construction ever drifts from the claim.
 
 Scenario documents are read with the line grammar of `graph` (blank and '#'
 lines, `community <i>:` heads, id lists, the graph section itself), so error
-line numbers are document lines.
+line numbers are document lines.  One regular expression finds the section
+headers in the document's text, and each section is a slice of that text
+with the number of its first line.  The graph's edge lines and the adversary
+table's entry lines go through graph.bulk_tokens; only when it declines a
+slice, or the slice holds a bad edge or entry, is that slice read line by
+line, and that pass names the error.
 
 Normal initial values are drawn from a PCG64 generator seeded with the
 config seed; agents are visited in ascending id order, legitimate agents draw
@@ -34,8 +39,8 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
-from itertools import compress, count
 
 import numpy as np
 
@@ -43,15 +48,16 @@ from .graph import (
     CommunityLayout,
     FormatError,
     Graph,
+    bulk_tokens,
     content_lines,
     format_graph,
+    head_line,
     read_graph,
     read_ids,
     read_indexed,
     read_int,
     read_malicious,
     read_members,
-    split_lines,
 )
 from .protocol import (
     AdversaryStrategy,
@@ -302,20 +308,26 @@ def example3(
 EXAMPLES = {1: example1, 2: example2, 3: example3}
 
 
-_SECTIONS = frozenset(("graph", "communities", "malicious", "init", "protocol", "adversary"))
+# a header line: one section name and whitespace, as str.strip() strips it
+_HEADER = re.compile(
+    r"^[^\S\n]*(graph|communities|malicious|init|protocol|adversary)[^\S\n]*$", re.M
+)
 
 
-def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
-    lines = content_lines(text)
-    heads = list(compress(count(), map(_SECTIONS.__contains__, map(operator.itemgetter(1), lines))))
-    if lines and heads[:1] != [0]:
-        raise FormatError(f"line {lines[0][0]}: content before any section header")
-    sections: dict[str, list[tuple[int, str]]] = {}
-    for k, end in zip(heads, heads[1:] + [len(lines)]):
-        lineno, line = lines[k]
-        if line in sections:
-            raise FormatError(f"line {lineno}: repeated section {line!r}")
-        sections[line] = lines[k + 1:end]
+def _split_sections(text: str) -> dict[str, tuple[str, int]]:
+    """Each section's text, the lines between its header and the next, with
+    the number of its first line."""
+    heads = list(_HEADER.finditer(text))
+    first = head_line(text)  # the first header, unless content comes before it
+    if first is not None and (not heads or first[2] <= heads[0].start()):
+        raise FormatError(f"line {first[0]}: content before any section header")
+    sections: dict[str, tuple[str, int]] = {}
+    lineno, at = 1, 0
+    for head, end in zip(heads, [head.start() for head in heads[1:]] + [len(text)]):
+        lineno, at = lineno + text.count("\n", at, head.start()), head.start()
+        if head[1] in sections:
+            raise FormatError(f"line {lineno}: repeated section {head[1]!r}")
+        sections[head[1]] = (text[head.end() + 1:end], lineno + 1)
     return sections
 
 
@@ -401,18 +413,19 @@ def _build(lineno: int, make, *args):
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
-def _parse_adversary_section(lines: list[tuple[int, str]]) -> AdversaryStrategy:
-    if not lines:
+def _parse_adversary_section(text: str, start: int) -> AdversaryStrategy:
+    head = head_line(text, start)
+    if head is None:
         raise FormatError("adversary section is empty")
-    lineno, first = lines[0]
+    lineno, first, rest = head
     tokens = first.split()
     kind = tokens[0]
     if kind == "constant":
-        if len(tokens) != 2 or len(lines) > 1:
+        if len(tokens) != 2 or head_line(text[rest:]) is not None:
             raise FormatError(f"line {lineno}: expected a single 'constant <v>' line")
         return _build(lineno, ConstantValue, _parse_float(lineno, tokens[1]))
     if kind == "script":
-        if len(tokens) < 2 or len(lines) > 1:
+        if len(tokens) < 2 or head_line(text[rest:]) is not None:
             raise FormatError(f"line {lineno}: expected a single 'script <v...>' line")
         values = tuple(_parse_float(lineno, tok) for tok in tokens[1:])
         return _build(lineno, RoundScript, values)
@@ -420,27 +433,30 @@ def _parse_adversary_section(lines: list[tuple[int, str]]) -> AdversaryStrategy:
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'table <default>'")
         default = _parse_float(lineno, tokens[1])
-        return _build(lineno, PerNeighborTable, _read_table(lines[1:]), default)
+        table = _read_table(text[rest:], lineno + 1)
+        return _build(lineno, PerNeighborTable, table, default)
     raise FormatError(f"line {lineno}: unknown adversary kind {kind!r}")
 
 
-def _read_table(lines: list[tuple[int, str]]) -> dict[tuple[int, int], float]:
-    """The `<agent> <neighbor> <value>` lines of a table, tokenized and
-    converted in bulk.  A table with an error is read again line by line,
-    and that pass names the first bad line: its token count, then its ids
-    (integers, not equal), then a repeat of an earlier entry, then its value."""
-    tokens = split_lines(lines, 3)
+def _read_table(text: str, start: int) -> dict[tuple[int, int], float]:
+    """The `<agent> <neighbor> <value>` lines of a table, the first numbered
+    `start`, tokenized by bulk_tokens and converted in bulk.  A table with an
+    error is read again line by line, and that pass names the first bad
+    line: its token count, then its ids (integers, not equal), then a
+    repeat of an earlier entry, then its value."""
+    tokens = bulk_tokens(text, 3)
     if tokens is not None:
+        tokens = tokens.split()
+        agents, neighbors = list(map(int, tokens[0::3])), list(map(int, tokens[1::3]))
         try:
-            keys = list(zip(map(int, tokens[0::3]), map(int, tokens[1::3])))
-            table = dict(zip(keys, map(float, tokens[2::3])))
-        except ValueError:
+            table = dict(zip(zip(agents, neighbors), map(float, tokens[2::3])))
+        except ValueError:  # a value float() does not read
             pass
         else:
-            if len(table) == len(keys) and not any(a == b for a, b in keys):
+            if len(table) == len(agents) and not any(map(operator.eq, agents, neighbors)):
                 return table
     table = {}  # only a table with an error gets here
-    for lineno, line in lines:
+    for lineno, line in content_lines(text, start):
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected '<agent> <neighbor> <value>'")
@@ -479,17 +495,17 @@ def read_scenario(text: str) -> tuple[SimulationConfig, list[str]]:
     if missing:
         raise FormatError(f"missing sections: {missing}")
 
-    g = read_graph(sections["graph"])
-    members, bounds = _parse_communities_section(sections["communities"])
+    g = read_graph(*sections["graph"])
+    members, bounds = _parse_communities_section(content_lines(*sections["communities"]))
     malicious: list[int] = []
-    for lineno, line in sections.get("malicious", []):
+    for lineno, line in content_lines(*sections.get("malicious", ("",))):
         ids = read_ids(lineno, line.split())
         again = sorted(set(ids) & set(malicious))
         if again:
             raise FormatError(f"line {lineno}: ids listed twice: {again}")
         malicious.extend(ids)
-    entries, malicious_value = _parse_init_section(sections["init"], len(members))
-    alpha, rounds, seed = _parse_protocol_section(sections["protocol"])
+    entries, malicious_value = _parse_init_section(content_lines(*sections["init"]), len(members))
+    alpha, rounds, seed = _parse_protocol_section(content_lines(*sections["protocol"]))
 
     problems: list[str] = []
     try:
@@ -521,7 +537,7 @@ def read_scenario(text: str) -> tuple[SimulationConfig, list[str]]:
     problems.extend(init.problems(g, layout))
 
     if "adversary" in sections:
-        adversary: AdversaryStrategy | None = _parse_adversary_section(sections["adversary"])
+        adversary: AdversaryStrategy | None = _parse_adversary_section(*sections["adversary"])
     elif layout.malicious:
         # default: malicious agents hold their initial constant
         adversary = ConstantValue(malicious_value) if malicious_value is not None else None

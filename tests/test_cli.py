@@ -195,6 +195,26 @@ class TestCheckErrors:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: line 3: self-loop on agent 2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        (b"n 3\r0 1\n2 2\n", "line 1: expected 'n <count>', got 'n 3\\r0 1'"),
+        (b"n 3\n# 0 1\r0 2\n2 2\n", "line 3: self-loop on agent 2"),
+    ], ids=["in-the-count-line", "in-a-comment"])
+    def test_lone_carriage_return_ends_no_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as raised:
+            parse_graph(text.decode())
+        assert str(raised.value) == message
+        assert main(["check", str(path), "--r", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_lone_carriage_return_separates_tokens(self, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"n 3\n0\r1\n")
+        assert parse_graph("n 3\n0\r1\n") == Graph(3, [(0, 1)])
+        assert main(["check", str(path), "--r", "0"]) == 0
+        assert capsys.readouterr() == ("robust: yes (0-excess robust)\n", "")
+
     def test_cap_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COMMCA_CAP", "4")
         path = write_graph(tmp_path, Graph(9, [(i, i + 1) for i in range(8)]))

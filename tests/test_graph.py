@@ -339,11 +339,31 @@ class TestGraphFiles:
             ("n 4\n0 1 2\n3\n", "line 2: expected 'u v', got '0 1 2'"),
             pytest.param("n 20000\n" + "".join(f"{i} {i + 1}\n" for i in range(19999)) + "0 1\n",
                          "line 20001: duplicate edge (0, 1)", id="last-of-20000-repeats-first"),
+            # ids beyond int64, one of them 2^64 + 1
+            ("n 3\n0 1\n9223372036854775808 1\n",
+             "line 3: edge (9223372036854775808, 1) outside agent range 0..2"),
+            ("n 3\n0 1\n0 18446744073709551617\n",
+             "line 3: edge (0, 18446744073709551617) outside agent range 0..2"),
         ],
     )
     def test_bad_edge_reported_with_line(self, text, message):
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             parse_graph(text)
+
+    @pytest.mark.parametrize("edge", ["+7 3", "007 3", "0_7 3", "\u0667 3", "7\x1c3", "7\x853",
+                                      "7\u20033", "0000000000000000007 3"])
+    def test_edge_read_as_int_reads_its_ids(self, edge):
+        assert parse_graph(f"n 12\n0 1\n{edge}\n1 2\n") == Graph(12, [(0, 1), (7, 3), (1, 2)])
+
+    @pytest.mark.parametrize("at", [1000, 9000, 19998])
+    def test_long_edge_list_is_read_as_int_reads_it_to_its_end(self, at):
+        # a path of 20000 agents, over 200,000 characters, with one id that
+        # only int() reads at the start, the middle or the end
+        lines = [f"{i} {i + 1}\r\n" if i % 7 else f"#{i}\r\n  {i}\t {i + 1}\r\n"
+                 for i in range(19999)]
+        lines[at] = f"{at:_} {at + 1}\n"
+        path = Graph(20000, [(i, i + 1) for i in range(19999)])
+        assert parse_graph("n 20000\n" + "".join(lines)) == path
 
     def test_first_bad_line_in_file_order_wins(self):
         # a bad edge ahead of a bad token is reported, and the reverse

@@ -662,7 +662,19 @@ def _table_example() -> SimulationConfig:
 
 READER_CONFIGS = [*(build(rounds=20) for build in (example1, example2, example3)),
                   _table_example()]
-NOISE_LINES = ["", "   ", "\t", "# note", "#", "  # 0 1", "#3 3 x"]
+NOISE_LINES = ["", "   ", "\t", "# note", "#", "  # 0 1", "#3 3 x", "\x1c", "\x85", "\u2003"]
+# Whitespace str.split() splits on, and spellings of an id that int() reads;
+# the bulk reader leaves all but the first of each to the line pass.
+SEPARATORS = [" ", "\x1c", "\x85", "\u2003"]
+SPELLINGS = [str, "+{}".format, "00{}".format, lambda t: f"{t[:-1] or 0}_{t[-1]}",
+             lambda t: t.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))]
+
+
+def _respell(draw, tokens: list[str], separator: str) -> str:
+    """An edge or table line of `tokens`, its ids each in a drawn spelling."""
+    ids = [draw(st.sampled_from(SPELLINGS))(tok) if tok.isascii() and tok.isdigit() else tok
+           for tok in tokens[:2]]
+    return separator.join(ids + tokens[2:])
 
 
 def _line_kinds(doc: str) -> list[tuple[str, str | None]]:
@@ -678,14 +690,19 @@ def _line_kinds(doc: str) -> list[tuple[str, str | None]]:
 @st.composite
 def noisy_documents(draw):
     """A formatted example document with blank and '#' lines put in at random
-    places and, half the time, CRLF endings: the index of its config, its
-    lines with their kinds, and the line ending."""
+    places, a few edge or table lines respelled and, half the time, CRLF
+    endings: the index of its config, its lines with their kinds, and the
+    line ending."""
     k = draw(st.integers(0, len(READER_CONFIGS) - 1))
     lines = _line_kinds(format_scenario(READER_CONFIGS[k]))
     noise = draw(st.lists(st.tuples(st.integers(0, len(lines)), st.sampled_from(NOISE_LINES)),
                           max_size=8))
     for at, text in sorted(noise, reverse=True):
         lines.insert(at, (text, None))
+    rows = [i for i, (_, kind) in enumerate(lines) if kind]
+    separator = draw(st.sampled_from(SEPARATORS))  # one for the document, lest one hide another
+    for i in draw(st.lists(st.sampled_from(rows), max_size=4)):
+        lines[i] = (_respell(draw, lines[i][0].split(), separator), lines[i][1])
     return k, lines, draw(st.sampled_from(["\n", "\r\n"]))
 
 
@@ -713,16 +730,15 @@ def test_bulk_reader_names_the_corrupted_line(case, data):
     if edit == "token":  # any one token made unreadable as an int and as a float, or dropped
         tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(
             st.sampled_from(["x", "0x1", "--1", ""]))
-        text = " ".join(tokens)
         message = {"edge": "bad edge|expected 'u v'",
                    "table": "bad id list|bad number|expected '<agent>"}[kind]
-    elif edit == "loop":  # both ids the same agent
-        tokens[1] = tokens[0]
-        text = " ".join(tokens)
+    elif edit == "loop":  # both ids the same agent, maybe one beyond int64
+        tokens[0] = tokens[1] = data.draw(st.sampled_from([tokens[0], str(2**63 + at)]))
         message = {"edge": "self-loop on agent", "table": "ids listed twice"}[kind]
     else:  # an earlier line of the same kind again
-        text = lines[data.draw(st.sampled_from([i for i in rows if i < at]))][0]
+        tokens = lines[data.draw(st.sampled_from([i for i in rows if i < at]))][0].split()
         message = {"edge": "duplicate edge", "table": "repeated table entry"}[kind]
+    text = _respell(data.draw, tokens, data.draw(st.sampled_from(SEPARATORS)))
     lines[at] = (text, kind)
     with pytest.raises(FormatError, match=rf"^line {at + 1}: ({message})"):
         load_scenario(_join(lines, ending))

@@ -18,14 +18,15 @@ malicious agent shows all its neighbors one value: a table showing 1.0 to two
 legitimate agents of a certified K_6 and 0.0 to the other two splits it.
 Each of run()'s rounds is the update rule alone: legitimate agents'
 neighbor rows are padded with infinities to the even power-of-two width 2h
-of their class, and each class is gathered and sorted in place once a
-round, in buffers allocated before the first.  Every median is the mean of
-column h - 1 and column h (even degree) or h - 1 again (odd degree), as
-(a + a) / 2 == a within MAX_MAGNITUDE.  Each trace row is one gather, in
-agent-id order, from the legitimate values (kept in class order) and what
-the malicious agents show.  A bool flag per agent says whether its median
-left its community's initial interval; isolation reports are read off those
-flags after the last round.
+of their class, every class's rows are gathered at once into one flat
+buffer allocated before the first round, and each class sorts its own 2-D
+run of it in place.  Every median is the mean of column h - 1 and column h
+(even degree) or h - 1 again (odd degree), as (a + a) / 2 == a within
+MAX_MAGNITUDE; one more gather picks both entries of every row.  Each trace
+row is one gather, in agent-id order, from the legitimate values (kept in
+class order) and what the malicious agents show.  A bool flag per agent says
+whether its median left its community's initial interval; isolation reports
+are read off those flags after the last round.
 A round depends only on the legitimate values before it and on what the
 script shows, so once the script holds its last entry, a row that repeats
 its predecessor bit for bit repeats in every later round: run() stops there
@@ -33,11 +34,13 @@ and counts that round's isolation flags once for each later round.  It keeps
 only the rows up to the last distinct one, in a buffer that grows
 geometrically from a first chunk of about 1 MB, and the trace is that head
 plus a repeat count; the full array is built only for a caller that asks for
-Trace.values.  The CSV writer writes bytes: rows up to
-the last distinct one become numpy byte-string cells a block of rounds at a
-time, and each repeat of that row is its bytes in a reused buffer with only
-the round's digits patched in.  Each distinct bit pattern is formatted once,
-by a numpy kernel of the Schubfach shortest round-trip algorithm
+Trace.values.  The CSV writer writes bytes: rows up to the last distinct
+one become numpy byte-string cells a block of rounds at a time, and the
+repeats of that row are copies of its bytes in a buffer of 10**k rows (up
+to 1 MB) whose low k round digits are patched in once; a block of rounds
+aligned to a multiple of 10**k patches in only the high digits that changed
+since the block before.  Each distinct bit pattern is formatted once, by a
+numpy kernel of the Schubfach shortest round-trip algorithm
 (commca._floatfmt) whose bytes equal repr's for every double.
 step() is the plain reference run() must agree with exactly, which the tests
 check bitwise.  Initial and adversary values are bounded by MAX_MAGNITUDE,
@@ -70,6 +73,13 @@ _BLOCK_CELLS = 4096
 # Float64 cells (1 MB) in run()'s first chunk of trace rows, which doubles
 # each time it fills; a 500-round run of 158 agents fits in the first chunk.
 _CHUNK_CELLS = 1 << 17
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """ASCII digits of non-negative integers, zero-padded to `width`, along a
+    new last axis."""
+    scale = 10 ** np.arange(width - 1, -1, -1)
+    return (values[..., None] // scale % 10 + ord("0")).astype(np.uint8)
 
 
 class ConfigError(ValueError):
@@ -292,8 +302,8 @@ class Trace:
     to_csv_text returns the same bytes as text.  A value is written as
     repr(float(v)) writes it, formatted by the vectorized shortest round-trip
     kernel of commca._floatfmt (Schubfach; Giulietti 2020, cf. Adams's Ryu,
-    PLDI 2018).  The writer holds a block of about _BLOCK_CELLS cells at a
-    time, never the whole text.
+    PLDI 2018).  The writer holds a block of about _BLOCK_CELLS cells, or
+    of at most 1 MB of repeated rows, at a time, never the whole text.
     """
 
     def __init__(
@@ -378,8 +388,13 @@ class Trace:
             fh.write(u8[u8 != 0])
         # the last distinct row and its repeats: for each digit count d, the
         # row's bytes with d NULs where its round goes, tiled into a buffer of
-        # a block of rows whose digits each write patches in place; fh.write
-        # consumes the buffer before it returns, so no view of it outlives one
+        # 10**k rows, the most that fit in 8 * _CHUNK_CELLS bytes (1 MB) and
+        # in the rounds of d digits left.  Rounds go in blocks aligned to
+        # multiples of 10**k, so buffer row i holds the low k digits of i in
+        # every block, and a block patches only those of its high d - k digits
+        # that differ from the block before; the first and the last block are
+        # slices of the buffer.  fh.write consumes the buffer before it
+        # returns, so no view of it outlives one
         pieces = [b"", *np.strings.add(lead, reprs[inverse[last]]).tolist()]
         lo = last
         while lo < rows:
@@ -387,12 +402,18 @@ class Trace:
             hi = min(rows, 10**d)
             row = np.frombuffer(bytes(d).join(pieces), dtype=np.uint8)
             holes = np.flatnonzero(row == 0).reshape(n, d)
-            buf = np.tile(row, (min(block, hi - lo), 1))
-            scale = 10 ** np.arange(d - 1, -1, -1)
-            for start in range(lo, hi, block):
-                t = np.arange(start, min(start + block, hi))
-                buf[: t.size, holes] = (t[:, None] // scale % 10 + ord("0"))[:, None, :]
-                fh.write(buf[: t.size])
+            k = len(str(max(1, min(8 * _CHUNK_CELLS // row.size, hi - lo)))) - 1
+            size = 10**k
+            buf = np.tile(row, (size, 1))
+            buf[:, holes[:, d - k :]] = _digits(np.arange(size), k)[:, None, :]
+            shown = np.zeros(d - k, dtype=np.uint8)  # the high digits in buf
+            for base in range(lo - lo % size, hi, size):
+                end = min(hi - base, size)
+                high = _digits(np.array(base // size), d - k)
+                changed = np.flatnonzero(high != shown)
+                buf[:end, holes[:, changed]] = high[changed]
+                shown = high
+                fh.write(buf[max(lo - base, 0) : end])
             lo = hi
 
     def to_csv_text(self) -> str:
@@ -410,11 +431,12 @@ def run(config: SimulationConfig) -> Trace:
 
     Equivalent to iterating step() from the initial values.  The legitimate
     values are one vector in class order (width class, then agent id),
-    updated in place.  Each round sorts each class's padded neighbor rows
-    in a buffer of its own and writes the class's medians, each the mean of
-    two sorted entries, into its slice of one median vector; the trace row,
-    in agent-id order, is one gather from that value vector and from what
-    the malicious agents show.  Whether
+    updated in place.  Each round gathers every padded neighbor row into one
+    flat buffer, sorts each class's rows in its own 2-D run of that buffer,
+    gathers the two middle entries of every row at once and takes their
+    mean; the malicious agents' values are written only while the script
+    has not yet held.  The trace row, in agent-id order, is one gather from
+    the value vector and from what the malicious agents show.  Whether
     each median left its community's initial interval is kept as one byte
     (a bool flag), and the isolation reports are read off those flags after
     the last round.
@@ -450,12 +472,13 @@ def run(config: SimulationConfig) -> Trace:
     by_class = np.argsort(half, kind="stable")
     legit_arr, half = legit[by_class], half[by_class]
     L = legit_arr.size
-    # the trace, a bool flag per agent and round, and three 8-byte slots per
-    # padded row entry: its index, its value and, as every row is at least two
-    # entries wide, roughly room for each row's median and right-entry place.
-    # That is the worst case, checked before any round: a run need not reach a
-    # fixed point.
-    if 8 * (T + 1) * n + L * T + 48 * int(half.sum()) > graph.physical_memory():
+    # The worst case, checked before any round, as a run need not reach a fixed
+    # point: the trace and a bool flag per legitimate agent and round; an index
+    # and a value (8 bytes each) per padded row entry; per row, the two places
+    # of its middle entries and their values, its median, its interval bounds
+    # and a flag; and source's slot per CSR entry.
+    if (8 * (T + 1) * n + L * T + 32 * int(half.sum()) + 57 * L + 8 * g.indices.size
+            > graph.physical_memory()):
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     # no adversary behaves like a script that no agent shows
     adversary = config.adversary or AdversaryStrategy((0.0,))
@@ -463,13 +486,13 @@ def run(config: SimulationConfig) -> Trace:
     script = np.array(adversary.script, dtype=np.float64)
     held = script.size - 1
     # p[:L] holds the legitimate values in legit_arr's order and p[L:n] what
-    # the malicious agents show by default, slot[u] being agent u's place; each
-    # fixed override gets a slot of its own after those, and the last two
-    # slots hold the pads.  source[k] is the slot of indices[k]: its
-    # neighbor's own slot unless an override fixes what that neighbor
-    # presents to the row's agent.
+    # the malicious agents show, slot[u] being agent u's place; each fixed
+    # override gets a slot of its own after those, and the last two slots
+    # hold the pads.  source[k] is the slot of indices[k]: its neighbor's own
+    # slot unless an override fixes what that neighbor presents to the row's
+    # agent.
     overrides = adversary.overrides
-    p = np.concatenate([x0[legit_arr], np.zeros(n - L),
+    p = np.concatenate([x0[legit_arr], np.full(n - L, script[0]),
                         np.fromiter(overrides.values(), np.float64, len(overrides)),
                         [-np.inf, np.inf]])
     slot = np.argsort(np.concatenate([legit_arr, mal_arr]))  # inverts the order
@@ -477,39 +500,40 @@ def run(config: SimulationConfig) -> Trace:
     keys = np.fromiter(chain.from_iterable(overrides), np.int64, 2 * len(overrides)).reshape(-1, 2)
     source[g.edge_positions(keys[:, 1], keys[:, 0])] = n + np.arange(len(keys))
 
-    # -inf pads on the left, +inf on the right and one more +inf for odd
-    # degree put a sorted row's median at column h - 1 (odd degree) or make
-    # it the mean of columns h - 1 and h (even degree).  right[r] is the place
-    # in the flat block of column h, or of h - 1 again for odd degree, as
-    # (a + a) / 2 == a within MAX_MAGNITUDE.  A class is a run of legit_arr
-    # and of `med`; j[r, c] is the place in its row of the entry at column c
-    # of row r.
+    # Row r (legit_arr[r]'s padded neighbor values) is flat[start[r]:start[r] +
+    # 2 * half[r]], so each class is a 2-D run of flat.  -inf pads on the left,
+    # +inf on the right and one more +inf for odd degree put a sorted row's
+    # median at column h - 1 (odd degree) or make it the mean of columns h - 1
+    # and h (even degree).  pick[r] is the place in flat of row r's column
+    # h - 1 and of column h, or of h - 1 again for odd degree, as
+    # (a + a) / 2 == a within MAX_MAGNITUDE.  j is an entry's place in its
+    # agent's adjacency row.
+    d = deg[legit_arr]
+    width = 2 * half
+    start = np.cumsum(width) - width
+    begin = start + half - (d + 1) // 2  # where row r's neighbors begin in flat
+    j = np.arange(int(width.sum())) - np.repeat(begin, width)
+    idx = np.where(j < 0, p.size - 2, p.size - 1)
+    inside = (j >= 0) & (j < np.repeat(d, width))
+    idx[inside] = source[(np.repeat(g.indptr[legit_arr], width) + j)[inside]]
+    del j, inside  # of the entry-sized arrays, the loop keeps only idx and flat
+    pick = np.stack([start + half - 1, start + half - d % 2], axis=1)
+    flat = np.empty(idx.size)
+    sizes, counts = np.unique(width, return_counts=True)
+    parts = np.split(flat, np.cumsum(sizes * counts)[:-1])
+    classes = [part.reshape(-1, w) for part, w in zip(parts, sizes.tolist())]
+    pair = np.empty((L, 2))
     med = np.empty(L)
-    classes = []
-    lo = 0
-    for h in np.unique(half).tolist():
-        hi = lo + int(np.count_nonzero(half == h))
-        us = legit_arr[lo:hi]
-        d = deg[us]
-        j = np.arange(2 * h) - (h - (d + 1) // 2)[:, None]
-        idx = np.where(j < 0, p.size - 2, p.size - 1)
-        row = (j >= 0) & (j < d[:, None])
-        idx[row] = source[(g.indptr[us][:, None] + j)[row]]
-        block = np.empty(idx.shape)
-        right = 2 * h * np.arange(hi - lo) + h - d % 2
-        classes.append((idx, block, block[:, h - 1], right, med[lo:hi]))
-        lo = hi
 
-    def medians(t: int) -> np.ndarray:  # of legit_arr's agents at round t, from p[:L]
-        p[L:n] = script[min(t, held)]
-        for idx, block, left, right, out in classes:
-            # no index is out of range; unlike "raise", "clip" fills out unbuffered
-            p.take(idx, out=block, mode="clip")
+    def medians() -> np.ndarray:  # of legit_arr's agents, from p
+        # no index is out of range; unlike "raise", "clip" fills out unbuffered
+        p.take(idx, out=flat, mode="clip")
+        for block in classes:
             block.sort(axis=1)
-            block.take(right, out=out, mode="clip")
-            out += left
-            out /= 2.0
-        return med
+        flat.take(pick, out=pair, mode="clip")
+        m = np.add(pair[:, 1], pair[:, 0], out=med)
+        m /= 2.0
+        return m
 
     # rows[t] is the trace row of round t and outside[t, k] says whether
     # legit_arr[k]'s median at round t left its community's interval.  Both
@@ -531,7 +555,7 @@ def run(config: SimulationConfig) -> Trace:
             size = min(T + 1, 2 * size)
             rows.resize((size, n), refcheck=False)
             outside.resize((size, L), refcheck=False)
-        m = medians(t)
+        m = medians()
         np.less(m, low, out=outside[t])
         np.greater(m, high, out=above)
         outside[t] |= above
@@ -539,8 +563,11 @@ def run(config: SimulationConfig) -> Trace:
         x *= alpha
         m *= 1.0 - alpha
         x += m
-        # slot[u] is agent u's place in p, which now holds round t + 1
-        p[L:n] = script[min(t + 1, held)]
+        # p[L:n] shows script[0] from the start and changes only until the
+        # script holds; slot[u] is agent u's place in p, which now holds round
+        # t + 1
+        if t < held:
+            p[L:n] = script[t + 1]
         p.take(slot, out=rows[t + 1], mode="clip")
         # the fixed point; comparing bytes keeps -0.0 apart from 0.0
         if t >= held and rows[t + 1].tobytes() == rows[t].tobytes():
@@ -556,7 +583,8 @@ def run(config: SimulationConfig) -> Trace:
             t = int(np.argmax(bad.any(axis=1)))
             j = int(np.argmax(bad[t]))
             x[:] = rows[t, legit_arr]
-            first = (t, int(own[j]), float(medians(t)[cols[j]]))
+            p[L:n] = script[min(t, held)]
+            first = (t, int(own[j]), float(medians()[cols[j]]))
         repeats = (T - kept) * int(bad[-1].sum())
         reports.append(IsolationReport(i, int(bad.sum()) + repeats, first))
     rows.resize((kept + 1, n), refcheck=False)  # drop the unused capacity

@@ -384,6 +384,25 @@ class TestRunMatchesStep:
         # 0.25 * a + 0.75 * a is a again for each, the sign of -0.0 included
         assert trace.values[1, 5:].tobytes() == np.repeat(extremes, 3).tobytes()
 
+    def test_first_event_before_the_script_holds_sees_its_own_round(self):
+        # run() writes what malicious agent 0 shows only until its script
+        # holds (round 2), and after the loop recomputes the median of the
+        # first isolation event.  Agent 1 sees agent 0 alone, so its round-0
+        # median is 100, outside [0, 9] unlike the held 5.  Legitimate
+        # degrees 1, 3, 5 and 2 put agents in the width classes 2, 4 and 8.
+        g = Graph(10, [(0, 1), (0, 2), (2, 3), (2, 4), (0, 5), (3, 5), (4, 5), (5, 6),
+                       (5, 7), (3, 4), (6, 7), (7, 8), (8, 9), (6, 9)])
+        assert [g.degree(u) for u in range(1, 10)] == [1, 3, 3, 3, 5, 3, 3, 2, 2]
+        layout = CommunityLayout([range(10)], malicious={0})
+        rng = random.Random(31)
+        for _ in range(3):
+            vals = (0.0, 0.0, *(rng.uniform(0.0, 9.0) for _ in range(7)), 9.0)
+            trace = assert_run_matches_step(SimulationConfig(
+                g, layout, PresetValues(vals), RoundScript((100.0, -50.0, 5.0)),
+                rng.uniform(0.05, 0.95), 12, 0))
+            assert assert_reports_match_medians(trace) > 0
+            assert trace.isolation[0].first == (0, 1, 100.0)
+
 
 def first_repeat(values) -> int:
     """The first row that repeats its predecessor bit for bit (0 if none)."""
@@ -648,10 +667,13 @@ class TestRun:
         assert trace.final_values().shape == (4,)
 
     def test_trace_beyond_physical_memory_refused_up_front(self, monkeypatch):
-        # 6 rows of 4 float64 values, one flag per round and agent, and padded
-        # index rows of widths 4, 2, 2, 2 (degrees 3, 1, 1, 1) held three
-        # times over in 8-byte slots
-        need = 6 * 4 * 8 + 5 * 4 + 3 * (4 + 2 + 2 + 2) * 8
+        # 6 rows of 4 float64 values; one flag per round and agent; an 8-byte
+        # index and value per entry of the padded rows of widths 4, 2, 2, 2
+        # (degrees 3, 1, 1, 1); per row, 16 bytes of middle-entry places, 16
+        # of their values, an 8-byte median, 16 bytes of interval bounds and a
+        # 1-byte flag; and an 8-byte slot per entry of the 6 CSR entries
+        need = 6 * 4 * 8 + 5 * 4 + 2 * (4 + 2 + 2 + 2) * 8 + 4 * (16 + 16 + 8 + 16 + 1) + 6 * 8
+        assert need == 648
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match="5-round trace of 4 agents"):
             run(star_config())
@@ -660,11 +682,14 @@ class TestRun:
 
     def test_memory_guard_counts_each_row_at_its_own_width(self, monkeypatch):
         # a 1000-leaf star: the hub's row is 1024 wide and every leaf's 2, so
-        # the padded rows take 3024 slots, not 1001 rows of the hub's width
+        # the padded rows take 3024 entries, not 1001 rows of the hub's width;
+        # each entry holds an index and a value, each row 57 bytes (as in the
+        # test above) and each of the 2000 CSR entries a slot
         g = Graph(1001, [(0, v) for v in range(1, 1001)])
         cfg = SimulationConfig(g, CommunityLayout([range(1001)]),
                                PresetValues(tuple(float(u % 7) for u in range(1001))), None, 0.5, 5, 0)
-        need = 6 * 1001 * 8 + 5 * 1001 + 3 * (1024 + 1000 * 2) * 8
+        need = 6 * 1001 * 8 + 5 * 1001 + 2 * (1024 + 1000 * 2) * 8 + 1001 * 57 + 2000 * 8
+        assert need == 174_494
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
             run(cfg)
@@ -1039,13 +1064,24 @@ class TestTraceCsv:
                                PresetValues((0.0,) * n), None, 0.5, 1, 0)
         return Trace(values, cfg, (), ())
 
-    @pytest.mark.parametrize("rows,n,repeats", [
-        (5, 3, 11996),  # the repeats' round numbers cross 9->10 ... 9999->10000
-        (5 * (_BLOCK_CELLS // 3) // 2, 3, 1),  # a head of 2.5 writer blocks
-        (1, 3, 11),  # every row equals row 0
-        (_BLOCK_CELLS + 7, 1, 120),  # a single agent
-    ], ids=["tail-crosses-digit-counts", "head-over-blocks", "all-rows-repeat", "one-agent"])
-    def test_writer_edges_match_reference_and_file(self, rows, n, repeats, tmp_path):
+    @pytest.mark.parametrize("rows,n,repeats,fit", [
+        (5, 3, 11996, 10000),  # the repeats' round numbers cross 9->10 ... 9999->10000
+        (5 * (_BLOCK_CELLS // 3) // 2, 3, 1, 10000),  # a head of 2.5 writer blocks
+        (1, 3, 11, 10000),  # every row equals row 0
+        (_BLOCK_CELLS + 7, 1, 120, 10000),  # a single agent
+        # rows so wide that 10 or 100 of them fill the repeats' buffer: the
+        # repeats cross 9->10 and 99->100 from round 5, start mid-block at
+        # round 13 (row 3 of a 10-row block) or 150 (row 50 of a 100-row
+        # block) and cross 99->100 or 999->1000 there, or start on a block
+        # boundary at round 200 and fill their last block to round 399
+        (6, 2500, 100, 10),
+        (14, 2500, 90, 10),
+        (151, 250, 900, 100),
+        (201, 250, 199, 100),
+    ], ids=["tail-crosses-digit-counts", "head-over-blocks", "all-rows-repeat", "one-agent",
+            "wide-rows-cross-digit-counts", "wide-rows-start-mid-block",
+            "rows-start-mid-block-cross-999", "rows-fill-aligned-blocks"])
+    def test_writer_edges_match_reference_and_file(self, rows, n, repeats, fit, tmp_path):
         # distinct rows, then copies of the last one
         values = np.arange(rows * n).reshape(rows, n) / 7
         trace = self.grid_trace(np.vstack([values, np.tile(values[-1], (repeats, 1))]),
@@ -1054,6 +1090,11 @@ class TestTraceCsv:
         assert text == reference_csv_text(trace)
         trace.write_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == text.encode()
+        # the largest power of ten of rows like the last distinct one that
+        # fit in the 1 MB repeat buffer
+        row_bytes = len("".join(
+            line + "\n" for line in text.splitlines()[1 + (rows - 1) * n : 1 + rows * n]))
+        assert 10 ** (len(str(8 * _CHUNK_CELLS // row_bytes)) - 1) == fit
 
     def test_writer_memory_stays_bounded(self, tmp_path):
         # the 5000-round example-1 file is 29 MB; the writer holds a block of

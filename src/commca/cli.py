@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config_args(p, rounds_help: str):
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--example", type=int, choices=(1, 2, 3))
+        group.add_argument("--example", type=int, choices=tuple(EXAMPLES))
         group.add_argument("--scenario", help="scenario document path")
         p.add_argument("--seed", type=int, help="initial value seed")
         p.add_argument("--alpha", type=float, help="update weight on the own value")
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_scenario = sub.add_parser("scenario", help="emit a resolved scenario document")
-    p_scenario.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
+    p_scenario.add_argument("--example", type=int, choices=tuple(EXAMPLES), required=True)
     p_scenario.add_argument("--seed", type=int)
     p_scenario.add_argument("--alpha", type=float)
     p_scenario.add_argument("--rounds", type=int)

@@ -12,25 +12,23 @@ degrees, external degrees, induced subgraphs and bitmasks are derived from
 them with numpy on each call, and every id a view returns is a Python int.
 Graph() checks all edges at once; only when that check fails does a plain
 loop name the first bad edge in input order, by the one edge rule
-(_edge_problem) that read_graph's line-by-line pass also applies.
+(_edge_problem) that parse_graph's line-by-line pass also applies.
 
 Only '\n' ends a line, so the line numbers in error messages are those of
 `grep -n`.  A document is read as slices of its text, each with the number
 of its first line; no Python object is made per line unless a line needs its
 own pass.  The edge lines of a graph and the entry lines of an adversary
-table go through one bulk tokenizer, bulk_tokens: a regular expression
-checks the shape of the whole slice, and only when every line that is not
-blank or '#' holds the right number of tokens of ASCII digits (ids of at
-most 18 digits) and, for the table, a printable ASCII value does it hand
-the tokens on.  numpy converts a graph's ids at once; a table's ids go
-through int() and its values through float().  Anything else (a sign, '_',
-a non-ASCII digit or space, a longer id, a bad token or a bad edge) goes to
-the line-by-line pass, the only code that reads such input or names an
-error: the first bad line in document order.
+table are read by bulk_rows: with the '#' lines cut out, numpy's text reader
+(np.loadtxt) converts a slice of ASCII text into the rows of a structured
+dtype at once.  Anything it declines (a non-ASCII character, '_', an id
+beyond int64, a bad token or a wrong token count) and any bad edge or entry
+goes to the line-by-line pass, the only code that reads such input or names
+an error: the first bad line in document order.
 """
 
 from __future__ import annotations
 
+import io
 import operator
 import os
 import re
@@ -416,55 +414,46 @@ def read_int(lineno: int, token: str, what: str = "integer") -> int:
         raise FormatError(f"line {lineno}: bad {what} {token!r}") from None
 
 
-# Tokens of the lines bulk_tokens accepts.  On such lines str.split() and
-# numpy's text parser see the same tokens, and an id fits int64.
-_SPACE = "[ \t\r\x0b\x0c]"  # the ASCII whitespace that does not end a line
-_ID, _VALUE = "[0-9]{1,18}", "[!-\"$-~]+"  # a value: printable ASCII but '#'
+# a '#' line, as content_lines sees one: whitespace, then '#'
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*", re.M)
+# a graph's edge line, read as one field of two ids
+_EDGE = np.dtype([("edge", np.int64, 2)])
 
 
-def _shape(tokens: tuple[str, ...]) -> re.Pattern[str]:
-    # A line matches in one way only, so a text that does not match fails in
-    # time linear in its length: no split of one line's spaces between two
-    # parts of the pattern, no line that two alternatives both accept.
-    row = f"{_SPACE}+".join(tokens)
-    line = f"{_SPACE}*(?:{row}{_SPACE}*|#[^\n]*)?"
-    return re.compile(f"(?:{line}\n)*{line}")
+def bulk_rows(text: str, dtype: np.dtype) -> np.ndarray | None:
+    """The rows of `text`, one per line that is neither blank nor '#', read
+    at once by numpy's text reader as a 1-d array of the structured `dtype`,
+    whose fields fix the tokens of a row.  None when `text` is not ASCII or
+    the reader declines a line; the caller then reads `text` in its
+    line-by-line pass, which alone names an error.
+
+    Only ASCII text reaches numpy: on numpy 2.4.6 repeated loadtxt calls on
+    rejected lines holding astral-plane characters crashed the interpreter.
+    On ASCII text loadtxt's whitespace is str.split()'s, and it reads an
+    int64 or a float64 exactly as int() and float() do or declines it (it
+    reads no '_', no id beyond int64, no lone '\r' inside a row)."""
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    if text.isspace() or not text:  # loadtxt warns on text without rows
+        return np.empty(0, dtype)
+    if not text.isascii():
+        return None
+    try:
+        return np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
-_SHAPES = {2: _shape((_ID, _ID)), 3: _shape((_ID, _ID, _VALUE))}
-_COMMENT = re.compile("#[^\n]*")
-# Characters a shape is checked on at once, up to the end of a line.  The
-# matcher's backtracking stack grows with the lines it has matched, and past
-# about 30,000 lines each further line costs it four times as much.
-_CHUNK = 1 << 16
+def parse_graph(text: str, start: int = 1) -> Graph:
+    """Parse the plain graph format, the first line numbered `start`: a line
+    `n <count>`, then one `u v` per edge.  Blank lines and lines starting
+    with '#' are ignored.
 
-
-def bulk_tokens(text: str, width: int) -> str | None:
-    """The tokens of `text`, lines of `width` tokens (2 or 3), as one text
-    of whitespace-separated tokens: `text` without its '#' lines.  None
-    unless every line that is neither blank nor '#' holds `width` tokens
-    apart by ASCII whitespace: two ids of at most 18 ASCII digits and, for
-    width 3, a value of printable ASCII but '#'.  A caller reads anything
-    else (a sign, '_', a non-ASCII digit or space, a longer id) in its
-    line-by-line pass, which alone names an error."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        if _SHAPES[width].fullmatch(text, start, end) is None:
-            return None
-        start = end
-    return _COMMENT.sub("", text) if "#" in text else text
-
-
-def read_graph(text: str, start: int = 1) -> Graph:
-    """Read graph lines, the first numbered `start`: `n <count>`, then one
-    `u v` per edge.
-
-    The edge lines go through bulk_tokens, numpy converts the ids and
-    Graph() checks the edges.  When that fails they are read again one at
-    a time, and only that pass names the error: the first line, in file
-    order, that is not two integers or whose edge breaks the edge rule
-    (_edge_problem) Graph() applies too.
+    bulk_rows reads the edge lines at once and Graph() checks the edges.
+    When either fails the edge lines are read again one at a time, and only
+    that pass names the error: the first line, in file order, that is not
+    two integers or whose edge breaks the edge rule (_edge_problem) Graph()
+    applies too.
     """
     head = head_line(text, start)
     if head is None:
@@ -480,12 +469,10 @@ def read_graph(text: str, start: int = 1) -> Graph:
         raise MemoryError(f"{n} agents need about {n * _AGENT_BYTES} bytes")
 
     edge_lines = text[rest:]
-    edges = bulk_tokens(edge_lines, 2)
-    if edges is not None:
-        # numpy reads a text of whitespace alone as one 0
-        ids = np.empty(0, np.int64) if edges.isspace() else np.fromstring(edges, np.int64, sep=" ")
+    rows = bulk_rows(edge_lines, _EDGE)
+    if rows is not None:
         try:
-            return Graph(n, ids.reshape(-1, 2))
+            return Graph(n, rows["edge"])
         except ValueError:  # a bad edge
             pass
     seen: set[tuple[int, int]] = set()  # only a document with an error gets here
@@ -500,14 +487,6 @@ def read_graph(text: str, start: int = 1) -> Graph:
         if problem := _edge_problem(n, a, b, seen):
             raise FormatError(f"line {lineno}: {problem}")
     return Graph(n, list(seen))
-
-
-def parse_graph(text: str) -> Graph:
-    """Parse the plain graph format: a line `n <count>`, then one `u v` per edge.
-
-    Blank lines and lines starting with '#' are ignored.
-    """
-    return read_graph(text)
 
 
 def format_graph(g: Graph) -> str:

@@ -24,9 +24,9 @@ lines, `community <i>:` heads, id lists, the graph section itself), so error
 line numbers are document lines.  One regular expression finds the section
 headers in the document's text, and each section is a slice of that text
 with the number of its first line.  The graph's edge lines and the adversary
-table's entry lines go through graph.bulk_tokens; only when it declines a
-slice, or the slice holds a bad edge or entry, is that slice read line by
-line, and that pass names the error.
+table's entry lines are read at once by graph.bulk_rows; only when it
+declines a slice, or the slice holds a bad edge or entry, is that slice read
+line by line, and that pass names the error.
 
 Normal initial values are drawn from a PCG64 generator seeded with the
 config seed; agents are visited in ascending id order, legitimate agents draw
@@ -38,7 +38,6 @@ order), malicious agents take the constant.  The second parameter of
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 
@@ -48,11 +47,11 @@ from .graph import (
     CommunityLayout,
     FormatError,
     Graph,
-    bulk_tokens,
+    bulk_rows,
     content_lines,
     format_graph,
     head_line,
-    read_graph,
+    parse_graph,
     read_ids,
     read_indexed,
     read_int,
@@ -438,23 +437,23 @@ def _parse_adversary_section(text: str, start: int) -> AdversaryStrategy:
     raise FormatError(f"line {lineno}: unknown adversary kind {kind!r}")
 
 
+# an adversary table's entry line
+_ENTRY = np.dtype([("agent", np.int64), ("neighbor", np.int64), ("value", np.float64)])
+
+
 def _read_table(text: str, start: int) -> dict[tuple[int, int], float]:
     """The `<agent> <neighbor> <value>` lines of a table, the first numbered
-    `start`, tokenized by bulk_tokens and converted in bulk.  A table with an
-    error is read again line by line, and that pass names the first bad
-    line: its token count, then its ids (integers, not equal), then a
-    repeat of an earlier entry, then its value."""
-    tokens = bulk_tokens(text, 3)
-    if tokens is not None:
-        tokens = tokens.split()
-        agents, neighbors = list(map(int, tokens[0::3])), list(map(int, tokens[1::3]))
-        try:
-            table = dict(zip(zip(agents, neighbors), map(float, tokens[2::3])))
-        except ValueError:  # a value float() does not read
-            pass
-        else:
-            if len(table) == len(agents) and not any(map(operator.eq, agents, neighbors)):
-                return table
+    `start`, read at once by bulk_rows.  A table it declines, or one with an
+    agent paired with itself or an entry listed twice, is read again line by
+    line, and that pass names the first bad line: its token count, then its
+    ids (integers, not equal), then a repeat of an earlier entry, then its
+    value."""
+    rows = bulk_rows(text, _ENTRY)
+    if rows is not None and not (rows["agent"] == rows["neighbor"]).any():
+        pairs = zip(rows["agent"].tolist(), rows["neighbor"].tolist())
+        table = dict(zip(pairs, rows["value"].tolist()))
+        if len(table) == len(rows):
+            return table
     table = {}  # only a table with an error gets here
     for lineno, line in content_lines(text, start):
         parts = line.split()
@@ -495,7 +494,7 @@ def read_scenario(text: str) -> tuple[SimulationConfig, list[str]]:
     if missing:
         raise FormatError(f"missing sections: {missing}")
 
-    g = read_graph(*sections["graph"])
+    g = parse_graph(*sections["graph"])
     members, bounds = _parse_communities_section(content_lines(*sections["communities"]))
     malicious: list[int] = []
     for lineno, line in content_lines(*sections.get("malicious", ("",))):

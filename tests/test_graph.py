@@ -1,5 +1,6 @@
 import random
 import re
+import struct
 from itertools import chain
 
 import numpy as np
@@ -22,6 +23,8 @@ from commca import (
     parse_communities,
     parse_graph,
 )
+from commca.graph import _EDGE, bulk_rows, content_lines
+from commca.scenarios import _ENTRY, _read_table
 
 from reference import naive_graph, naive_induced_subgraph, random_graph
 
@@ -439,6 +442,111 @@ class TestLineNumbering:
             parse_communities("community 1: 0 1\x0c\ncommunity 1: 2\n")
         with pytest.raises(FormatError, match=r"^line 2: community 1 listed twice$"):
             parse_communities("community 1: 0 1\r\ncommunity 1: 2\r\n")
+
+
+# Spellings of the tokens of edge and table lines: ids int() reads, values
+# float() reads, and noise that one of them, or both, may decline.
+INT_TOKENS = st.one_of(st.integers(-2**63, 2**63 - 1).map(str),
+                       st.integers(0, 99).map("+{}".format), st.integers(0, 99).map("00{}".format))
+FLOAT_TOKENS = st.one_of(
+    INT_TOKENS, st.floats().map(repr),
+    st.sampled_from(["inf", "-Infinity", "INF", "nan", "-nan", "+nan", "1.", ".5", "-.5e-3",
+                     "1E5", "1e-400", "1e400"]))
+NOISE_TOKENS = st.one_of(
+    st.text("0123456789+-_.e#\x00", max_size=5), st.integers(2**63, 2**65).map(str),
+    st.integers(-2**65, -2**63 - 1).map(str),
+    st.sampled_from(["_", "e", ".", "inf", "nan", "nan(1)", "0_7", "1_0.5", "\x00", "#"]))
+# every ASCII character str.split() splits on but '\n' and '\r'
+SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+# what a spoilt line gets in place of a few of its characters
+SPOILS = st.one_of(NOISE_TOKENS, NOISE_TOKENS.map(" {} ".format), st.just("\r"),
+                   st.text(SPACES + "0123456789\r#").map("#{}".format))
+
+
+@st.composite
+def row_texts(draw, columns):
+    """A text of rows of `columns` (a spelling strategy per token), with
+    blank and '#' lines between and LF or CRLF endings, maybe none on the
+    last line.  In two texts of three, one or two lines are then spoilt: a
+    few characters at some place give way to a noise token, alone or as a
+    token of its own, to a lone '\r' or to a '#' and what follows it."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        pad = draw(st.text(SPACES, max_size=2))
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "row":
+            lines.append(pad + "".join(draw(column) + draw(st.text(SPACES, min_size=1, max_size=2))
+                                       for column in columns))
+        else:
+            lines.append(pad + ("#" + draw(st.text(SPACES + "0123456789#\x00")) if kind == "comment"
+                                else ""))
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        k = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + draw(SPOILS) + lines[k][at + draw(st.integers(0, 3)):]
+    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if endings and draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+def read_as_line_pass(text: str, kinds) -> list[tuple] | None:
+    """The rows that the line-by-line pass reads from `text`, each token
+    converted by its kind (int or float); None where it names a line."""
+    rows = []
+    for _, line in content_lines(text):
+        tokens = line.split()
+        if len(tokens) != len(kinds):
+            return None
+        try:
+            rows.append(tuple(kind(tok) for kind, tok in zip(kinds, tokens)))
+        except ValueError:
+            return None
+    return rows
+
+
+def exact(rows) -> list[tuple]:
+    """Rows with every float as its bit pattern, so nan and -0.0 compare exactly."""
+    return [tuple(struct.pack("<d", x) if isinstance(x, float) else x for x in row)
+            for row in rows]
+
+
+class TestBulkRows:
+    """Whatever numpy's text reader accepts, the line-by-line pass reads the same."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(row_texts([INT_TOKENS, INT_TOKENS]))
+    def test_edge_rows_are_what_the_line_pass_reads(self, text):
+        rows = bulk_rows(text, _EDGE)
+        if rows is not None:
+            assert read_as_line_pass(text, (int, int)) == list(map(tuple, rows["edge"].tolist()))
+
+    @settings(deadline=None, max_examples=400)
+    @given(row_texts([INT_TOKENS, INT_TOKENS, FLOAT_TOKENS]))
+    def test_table_rows_are_what_the_line_pass_reads(self, text):
+        rows = bulk_rows(text, _ENTRY)
+        if rows is not None:
+            want = read_as_line_pass(text, (int, int, float))
+            assert want is not None and exact(want) == exact(rows.tolist())
+
+    def test_non_ascii_lines_never_reach_numpy(self, monkeypatch):
+        # repeated np.loadtxt calls on rejected lines with astral-plane
+        # characters crashed numpy 2.4.6, so such text goes to the line pass
+        def refuse(*args, **kwargs):
+            pytest.fail("np.loadtxt was given non-ASCII text")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert parse_graph("n 12\n0 1\n1 \u0667\n") == Graph(12, [(0, 1), (1, 7)])
+        with pytest.raises(FormatError, match="^line 3: bad edge '0\U00010000 1'$"):
+            parse_graph("n 12\n0 1\n0\U00010000 1\n")
+        with pytest.raises(FormatError, match="^line 3: expected 'u v', got '\U00010000'$"):
+            parse_graph("n 12\n0 1\n\U00010000\n")
+        assert _read_table("0 1 2.5\n1 \u0667 3\n", 7) == {(0, 1): 2.5, (1, 7): 3.0}
+        assert _read_table("0 1 \u0667.5\n", 7) == {(0, 1): 7.5}
+        with pytest.raises(FormatError, match="^line 8: bad id list '1\U00010000 2'$"):
+            _read_table("0 1 2.5\n1\U00010000 2 3\n", 7)
+        with pytest.raises(FormatError, match="^line 8: bad number '3\U00010000'$"):
+            _read_table("0 1 2.5\n1 2 3\U00010000\n", 7)
 
 
 # One graph, built four ways: six agents, a 4-cycle with a chord plus a

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import statistics
@@ -486,11 +487,22 @@ def fixed_point(cfg) -> int:
     return k
 
 
+def assert_same_bytes(got: str | bytes, want: str | bytes) -> None:
+    """got == want as bytes, a str taken as UTF-8.  A mismatch names only the
+    first line that differs, so a broken writer fails in seconds: pytest's
+    own report would diff two texts of up to megabytes."""
+    got, want = (s.encode() if isinstance(s, str) else s for s in (got, want))
+    if got != want:
+        lines = enumerate(itertools.zip_longest(got.split(b"\n"), want.split(b"\n")), 1)
+        k, (line, expected) = next((k, pair) for k, pair in lines if pair[0] != pair[1])
+        pytest.fail(f"line {k} differs: got {line!r}, expected {expected!r}", pytrace=False)
+
+
 def assert_trace_matches_reference(trace):
     """run() against step(), the CSV against the one-f-string writer, and the
     isolation reports against the median oracle."""
     assert_run_matches_step(trace.config)
-    assert trace.to_csv_text() == reference_csv_text(trace)
+    assert_same_bytes(trace.to_csv_text(), reference_csv_text(trace))
     assert_reports_match_medians(trace)
 
 
@@ -590,7 +602,7 @@ class TestHeadTailBoundary:
         assert (trace.last_distinct, trace.repeats) == (668, rounds - 668)
         rebuilt = Trace(trace.values, cfg, (), ())
         assert (rebuilt.last_distinct, rebuilt.repeats) == (668, rounds - 668)
-        assert trace.to_csv_text() == reference_csv_text(trace)
+        assert_same_bytes(trace.to_csv_text(), reference_csv_text(trace))
 
     def test_first_chunk_holds_a_500_round_example1_run(self):
         assert _CHUNK_CELLS // example1().graph.n >= 501
@@ -1005,18 +1017,18 @@ class TestTraceCsv:
     @settings(max_examples=300)
     @given(traces())
     def test_text_matches_reference_writer(self, trace):
-        assert trace.to_csv_text() == reference_csv_text(trace)
+        assert_same_bytes(trace.to_csv_text(), reference_csv_text(trace))
 
     @settings(max_examples=300)
     @given(traces(repeat_last=True))
     def test_repeated_rows_match_reference_writer_and_file(self, trace):
         text = trace.to_csv_text()
-        assert text == reference_csv_text(trace)
+        assert_same_bytes(text, reference_csv_text(trace))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trace.csv")
             trace.write_csv(path)
             with open(path, "rb") as fh:
-                assert fh.read() == text.encode()
+                assert_same_bytes(fh.read(), text)
 
     def test_signed_zeros_keep_their_signs(self):
         cfg = SimulationConfig(
@@ -1035,9 +1047,9 @@ class TestTraceCsv:
         for _ in range(5):
             trace = run(random_config(rng, rounds=20))
             text = trace.to_csv_text()
-            assert text == reference_csv_text(trace)
+            assert_same_bytes(text, reference_csv_text(trace))
             trace.write_csv(tmp_path / "trace.csv")
-            assert (tmp_path / "trace.csv").read_bytes() == text.encode()
+            assert_same_bytes((tmp_path / "trace.csv").read_bytes(), text)
 
     def test_every_value_format_in_a_run_matches_reference_and_file(self, tmp_path):
         # a script of huge, tiny, 1e-5 and 1e17 values and initial values
@@ -1049,9 +1061,9 @@ class TestTraceCsv:
             RoundScript((1e300, -1e-300, 1e-5, 1e17)), 0.5, 40, 0)
         trace = run(cfg)
         text = trace.to_csv_text()
-        assert text == reference_csv_text(trace)
+        assert_same_bytes(text, reference_csv_text(trace))
         trace.write_csv(tmp_path / "trace.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == text.encode()
+        assert_same_bytes((tmp_path / "trace.csv").read_bytes(), text)
         values = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
         for form in ("e+", "e-", "e+299", "e-05", "0.00", ".0", "-"):
             assert any(form in v for v in values), form
@@ -1087,9 +1099,9 @@ class TestTraceCsv:
         trace = self.grid_trace(np.vstack([values, np.tile(values[-1], (repeats, 1))]),
                                 malicious=[n - 1])
         text = trace.to_csv_text()
-        assert text == reference_csv_text(trace)
+        assert_same_bytes(text, reference_csv_text(trace))
         trace.write_csv(tmp_path / "trace.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == text.encode()
+        assert_same_bytes((tmp_path / "trace.csv").read_bytes(), text)
         # the largest power of ten of rows like the last distinct one that
         # fit in the 1 MB repeat buffer
         row_bytes = len("".join(

@@ -20,8 +20,9 @@ of its first line; no Python object is made per line unless a line needs its
 own pass.  The edge lines of a graph and the entry lines of an adversary
 table are read by bulk_rows: with the '#' lines cut out, numpy's text reader
 (np.loadtxt) converts a slice of ASCII text into the rows of a structured
-dtype at once.  Anything it declines (a non-ASCII character, '_', an id
-beyond int64, a bad token or a wrong token count) and any bad edge or entry
+dtype at once.  Anything it declines or warns about (a non-ASCII character,
+'_', an id beyond int64 or written as a float, a bad token or a wrong token
+count) and any bad edge or entry
 goes to the line-by-line pass, the only code that reads such input or names
 an error: the first bad line in document order.
 """
@@ -32,6 +33,7 @@ import io
 import operator
 import os
 import re
+import warnings
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -431,7 +433,10 @@ def bulk_rows(text: str, dtype: np.dtype) -> np.ndarray | None:
     rejected lines holding astral-plane characters crashed the interpreter.
     On ASCII text loadtxt's whitespace is str.split()'s, and it reads an
     int64 or a float64 exactly as int() and float() do or declines it (it
-    reads no '_', no id beyond int64, no lone '\r' inside a row)."""
+    reads no '_', no id beyond int64, no lone '\r' inside a row).  Any
+    warning the reader raises declines the text too, whatever the warning
+    filters say: numpy releases that still carry the 1.23 deprecation read
+    '1.9' in an int64 field as 1 and only warn."""
     if "#" in text:
         text = _COMMENT_LINE.sub("", text)
     if text.isspace() or not text:  # loadtxt warns on text without rows
@@ -439,8 +444,10 @@ def bulk_rows(text: str, dtype: np.dtype) -> np.ndarray | None:
     if not text.isascii():
         return None
     try:
-        return np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
         return None
 
 

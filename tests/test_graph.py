@@ -1,6 +1,7 @@
 import random
 import re
 import struct
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -528,6 +529,28 @@ class TestBulkRows:
         if rows is not None:
             want = read_as_line_pass(text, (int, int, float))
             assert want is not None and exact(want) == exact(rows.tolist())
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_ids_written_as_floats_are_declined_with_warnings_ignored(self):
+        assert bulk_rows("0 1.0\n", _EDGE) is None
+        with pytest.raises(FormatError, match="^line 2: bad edge '0 1.9'$"):
+            parse_graph("n 3\n0 1.9\n")
+        with pytest.raises(FormatError, match="^line 7: bad id list '0 1.0'$"):
+            _read_table("0 1.0 2\n", 7)
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_a_reader_that_warns_is_declined(self, monkeypatch):
+        # numpy releases that keep the 1.23 "integer via a float" deprecation
+        # read '1.9' in an int64 field as 1 and only warn
+        def truncate_and_warn(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return np.array([((0, 1),)], _EDGE)
+
+        monkeypatch.setattr(np, "loadtxt", truncate_and_warn)
+        assert bulk_rows("0 1.9\n", _EDGE) is None
+        with pytest.raises(FormatError, match="^line 2: bad edge '0 1.9'$"):
+            parse_graph("n 3\n0 1.9\n")
 
     def test_non_ascii_lines_never_reach_numpy(self, monkeypatch):
         # repeated np.loadtxt calls on rejected lines with astral-plane

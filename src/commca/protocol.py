@@ -16,15 +16,18 @@ run() tabulates the whole malicious schedule once.  The community predicate
 guarantees isolation against any presentation, but agreement only when each
 malicious agent shows all its neighbors one value: a table showing 1.0 to two
 legitimate agents of a certified K_6 and 0.0 to the other two splits it.
-Each of run()'s rounds is the update rule alone: legitimate agents'
-neighbor rows are padded with infinities to the even power-of-two width 2h
-of their class, every class's rows are gathered at once into one flat
-buffer allocated before the first round, and each class sorts its own 2-D
-run of it in place.  Every median is the mean of column h - 1 and column h
-(even degree) or h - 1 again (odd degree), as (a + a) / 2 == a within
-MAX_MAGNITUDE; one more gather picks both entries of every row.  Each trace
-row is one gather, in agent-id order, from the legitimate values (kept in
-class order) and what the malicious agents show.  A bool flag per agent says
+Each of run()'s rounds is the update rule alone.  Every value a round reads
+has a slot: the legitimate values (in class order), what the malicious
+agents show, one per distinct fixed override, and two infinite pads.  A
+cached order sorts the slots as step()'s sorted() sorts a row, tied zeros
+by agent id (-0.0 == 0.0, yet their bits differ).  Each legitimate agent's
+neighbor row, padded to the even power-of-two width 2h of its class, holds
+its neighbors' ranks in that order; sorted, it has its median at the slots
+of columns h - 1 and h, or h - 1 twice at odd degree, as (a + a) / 2 == a
+within MAX_MAGNITUDE.  While the cached order still sorts a round's values,
+its medians are one gather from those slots; only a round whose order
+changed sorts the slots and the rank rows again.  Each trace row is one
+gather, in agent-id order, from the slots.  A bool flag per agent says
 whether its median left its community's initial interval; isolation reports
 are read off those flags after the last round.
 A round depends only on the legitimate values before it and on what the
@@ -73,6 +76,9 @@ _BLOCK_CELLS = 4096
 # Float64 cells (1 MB) in run()'s first chunk of trace rows, which doubles
 # each time it fills; a 500-round run of 158 agents fits in the first chunk.
 _CHUNK_CELLS = 1 << 17
+
+# where a sorted vector's zeros (-0.0 and 0.0 alike) begin and end
+_ZERO_RUN = np.array([0.0, 5e-324])
 
 
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
@@ -431,12 +437,15 @@ def run(config: SimulationConfig) -> Trace:
 
     Equivalent to iterating step() from the initial values.  The legitimate
     values are one vector in class order (width class, then agent id),
-    updated in place.  Each round gathers every padded neighbor row into one
-    flat buffer, sorts each class's rows in its own 2-D run of that buffer,
-    gathers the two middle entries of every row at once and takes their
-    mean; the malicious agents' values are written only while the script
-    has not yet held.  The trace row, in agent-id order, is one gather from
-    the value vector and from what the malicious agents show.  Whether
+    updated in place, at the head of the slot vector.  At round 0 and
+    whenever the cached order of the slots stops sorting them, run() sorts
+    the slots again (tied zeros by owner, as step() keeps them in neighbor
+    id order), gathers their ranks into every padded neighbor row (2-byte
+    ranks, 4-byte past 65,536 slots), sorts each class's rows and keeps the
+    slots of each row's two middle entries.  Every other round only checks
+    the order, gathers those entries and takes their mean; the malicious
+    agents' values are written only while the script has not yet held.  The
+    trace row, in agent-id order, is one gather from the slots.  Whether
     each median left its community's initial interval is kept as one byte
     (a bool flag), and the isolation reports are read off those flags after
     the last round.
@@ -472,68 +481,91 @@ def run(config: SimulationConfig) -> Trace:
     by_class = np.argsort(half, kind="stable")
     legit_arr, half = legit[by_class], half[by_class]
     L = legit_arr.size
-    # The worst case, checked before any round, as a run need not reach a fixed
-    # point: the trace and a bool flag per legitimate agent and round; an index
-    # and a value (8 bytes each) per padded row entry; per row, the two places
-    # of its middle entries and their values, its median, its interval bounds
-    # and a flag; and source's slot per CSR entry.
-    if (8 * (T + 1) * n + L * T + 32 * int(half.sum()) + 57 * L + 8 * g.indices.size
-            > graph.physical_memory()):
-        raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     # no adversary behaves like a script that no agent shows
     adversary = config.adversary or AdversaryStrategy((0.0,))
     # every malicious agent displays script[min(t, held)] at round t
     script = np.array(adversary.script, dtype=np.float64)
     held = script.size - 1
     # p[:L] holds the legitimate values in legit_arr's order and p[L:n] what
-    # the malicious agents show, slot[u] being agent u's place; each fixed
-    # override gets a slot of its own after those, and the last two slots
-    # hold the pads.  source[k] is the slot of indices[k]: its neighbor's own
-    # slot unless an override fixes what that neighbor presents to the row's
-    # agent.
+    # the malicious agents show, slot[u] being agent u's place; after those
+    # come one slot per distinct (agent, value bits) of the fixed overrides,
+    # which[e] being override e's, and the last two slots hold the pads.
+    # owner[s] is the agent whose value slot s holds (n for the pads).
     overrides = adversary.overrides
-    p = np.concatenate([x0[legit_arr], np.full(n - L, script[0]),
-                        np.fromiter(overrides.values(), np.float64, len(overrides)),
-                        [-np.inf, np.inf]])
-    slot = np.argsort(np.concatenate([legit_arr, mal_arr]))  # inverts the order
-    source = slot[g.indices]
     keys = np.fromiter(chain.from_iterable(overrides), np.int64, 2 * len(overrides)).reshape(-1, 2)
-    source[g.edge_positions(keys[:, 1], keys[:, 0])] = n + np.arange(len(keys))
+    bits, of_bits = np.unique(np.fromiter(overrides.values(), np.float64, len(overrides)).view(np.int64),
+                              return_inverse=True)
+    pairs, which = np.unique(keys[:, 0] * len(bits) + of_bits, return_inverse=True)
+    by, value = np.divmod(pairs, max(len(bits), 1))
+    S = n + len(pairs) + 2
+    rank_type = np.dtype(np.uint16 if S <= 1 << 16 else np.uint32)
+    # The worst case, checked before any round, as a run need not reach a fixed
+    # point: the trace and a bool flag per legitimate agent and round; an index
+    # and a rank per padded row entry; per row, the places, ranks, slots and
+    # values of its middle entries, its median, its interval bounds and a
+    # flag; per slot, its place in the order, rank, owner, value in the order
+    # and a flag; and source's slot per CSR entry.
+    rb = rank_type.itemsize
+    if (8 * (T + 1) * n + L * T + 2 * (8 + rb) * int(half.sum()) + (73 + 2 * rb) * L
+            + (25 + rb) * S + 8 * g.indices.size > graph.physical_memory()):
+        raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
+    p = np.concatenate([x0[legit_arr], np.full(n - L, script[0]),
+                        bits[value].view(np.float64), [-np.inf, np.inf]])
+    owner = np.concatenate([legit_arr, mal_arr, by, [n, n]])
+    slot = np.argsort(np.concatenate([legit_arr, mal_arr]))  # inverts the order
+    # source[k] is the slot of indices[k]: its neighbor's own slot unless an
+    # override fixes what that neighbor presents to the row's agent
+    source = slot[g.indices]
+    source[g.edge_positions(keys[:, 1], keys[:, 0])] = n + which
 
-    # Row r (legit_arr[r]'s padded neighbor values) is flat[start[r]:start[r] +
-    # 2 * half[r]], so each class is a 2-D run of flat.  -inf pads on the left,
-    # +inf on the right and one more +inf for odd degree put a sorted row's
-    # median at column h - 1 (odd degree) or make it the mean of columns h - 1
-    # and h (even degree).  pick[r] is the place in flat of row r's column
-    # h - 1 and of column h, or of h - 1 again for odd degree, as
+    # Row r (legit_arr[r]'s padded neighbors) is ranked[start[r]:start[r] +
+    # 2 * half[r]], so each class is a 2-D run of ranked.  -inf pads on the
+    # left, +inf on the right and one more +inf for odd degree put a sorted
+    # row's median at column h - 1 (odd degree) or make it the mean of columns
+    # h - 1 and h (even degree).  pick[r] is the place in ranked of row r's
+    # column h - 1 and of column h, or of h - 1 again for odd degree, as
     # (a + a) / 2 == a within MAX_MAGNITUDE.  j is an entry's place in its
     # agent's adjacency row.
     d = deg[legit_arr]
     width = 2 * half
     start = np.cumsum(width) - width
-    begin = start + half - (d + 1) // 2  # where row r's neighbors begin in flat
+    begin = start + half - (d + 1) // 2  # where row r's neighbors begin in ranked
     j = np.arange(int(width.sum())) - np.repeat(begin, width)
-    idx = np.where(j < 0, p.size - 2, p.size - 1)
+    idx = np.where(j < 0, S - 2, S - 1)
     inside = (j >= 0) & (j < np.repeat(d, width))
     idx[inside] = source[(np.repeat(g.indptr[legit_arr], width) + j)[inside]]
-    del j, inside  # of the entry-sized arrays, the loop keeps only idx and flat
+    del j, inside  # of the entry-sized arrays, the loop keeps only idx and ranked
     pick = np.stack([start + half - 1, start + half - d % 2], axis=1)
-    flat = np.empty(idx.size)
+    ranked = np.empty(idx.size, rank_type)
     sizes, counts = np.unique(width, return_counts=True)
-    parts = np.split(flat, np.cumsum(sizes * counts)[:-1])
+    parts = np.split(ranked, np.cumsum(sizes * counts)[:-1])
     classes = [part.reshape(-1, w) for part, w in zip(parts, sizes.tolist())]
+    # order lists the slots as step() sorts a row: by value, and the zeros
+    # by owner, as sorted() keeps -0.0 and 0.0 in the row's ascending id
+    # order (other tied values have equal bits).  rank[s] is slot s's place
+    # in it, and src[r] the slots of row r's two middle entries.
+    order, rank = np.empty(S, np.intp), np.empty(S, rank_type)
+    middle, src = np.empty((L, 2), rank_type), np.empty((L, 2), np.intp)
+    ordered = np.empty(S)
+    later, earlier, fell = ordered[1:], ordered[:-1], np.empty(S - 1, dtype=bool)
     pair = np.empty((L, 2))
+    left, right = pair.T
     med = np.empty(L)
 
-    def medians() -> np.ndarray:  # of legit_arr's agents, from p
+    def reorder() -> None:  # order, rank and src for the values in p
         # no index is out of range; unlike "raise", "clip" fills out unbuffered
-        p.take(idx, out=flat, mode="clip")
+        order[:] = p.argsort()
+        p.take(order, out=ordered, mode="clip")
+        lo, hi = ordered.searchsorted(_ZERO_RUN).tolist()
+        if hi - lo > 1:  # tied zeros go by owner; other tied values have equal bits
+            zeros = order[lo:hi]
+            zeros[:] = zeros[owner[zeros].argsort(kind="stable")]
+        rank[order] = np.arange(S)
+        rank.take(idx, out=ranked, mode="clip")
         for block in classes:
             block.sort(axis=1)
-        flat.take(pick, out=pair, mode="clip")
-        m = np.add(pair[:, 1], pair[:, 0], out=med)
-        m /= 2.0
-        return m
+        ranked.take(pick, out=middle, mode="clip")
+        order.take(middle, out=src, mode="clip")
 
     # rows[t] is the trace row of round t and outside[t, k] says whether
     # legit_arr[k]'s median at round t left its community's interval.  Both
@@ -550,12 +582,26 @@ def run(config: SimulationConfig) -> Trace:
     low, high = np.array([intervals[layout.community_of(u)] for u in legit_arr]).reshape(-1, 2).T
     above = np.empty(L, dtype=bool)
     kept = T  # rows of outside computed; the last one holds in every later round
+    reorder()
     for t in range(T):
         if t + 1 == size:
             size = min(T + 1, 2 * size)
             rows.resize((size, n), refcheck=False)
             outside.resize((size, L), refcheck=False)
-        m = medians()
+        # While p read in the old order is non-decreasing, that order sorts
+        # this round's values too, and each row's k-th entry is in the slot it
+        # was in.  Equal values have equal bits, except -0.0 and 0.0: the
+        # zeros, a run in the order, must still ascend by owner.  A byte 1 in
+        # fell is a True: a value below the one before it.
+        if t:
+            p.take(order, out=ordered, mode="clip")
+            np.less(later, earlier, out=fell)
+            lo, hi = ordered.searchsorted(_ZERO_RUN).tolist()
+            if 1 in fell.tobytes() or hi - lo > 1 and (np.diff(owner[order[lo:hi]]) < 0).any():
+                reorder()
+        p.take(src, out=pair, mode="clip")
+        m = np.add(right, left, out=med)
+        m /= 2.0
         np.less(m, low, out=outside[t])
         np.greater(m, high, out=above)
         outside[t] |= above
@@ -584,7 +630,9 @@ def run(config: SimulationConfig) -> Trace:
             j = int(np.argmax(bad[t]))
             x[:] = rows[t, legit_arr]
             p[L:n] = script[min(t, held)]
-            first = (t, int(own[j]), float(medians()[cols[j]]))
+            reorder()
+            a, b = p[src[cols[j]]]
+            first = (t, int(own[j]), float((b + a) / 2.0))
         repeats = (T - kept) * int(bad[-1].sum())
         reports.append(IsolationReport(i, int(bad.sum()) + repeats, first))
     rows.resize((kept + 1, n), refcheck=False)  # drop the unused capacity

@@ -127,20 +127,22 @@ class InitializerSpec:
         bad = self.problems(graph, layout)
         if bad:
             raise ValueError("; ".join(bad))
-        rng = np.random.Generator(np.random.PCG64(seed))
+        layout.require_covering(graph)
         values = np.empty(graph.n, dtype=np.float64)
-        consumed = [0] * len(layout)
-        for u in range(graph.n):
-            if layout.is_malicious(u):
-                values[u] = self.malicious_value
-                continue
-            i = layout.community_of(u)
-            entry = self.communities[i]
+        values[sorted(layout.malicious)] = self.malicious_value
+        # one draw for all normal agents in id order is the stream of one draw
+        # per agent in an id-order loop
+        normal, mean, scale = np.zeros(graph.n, dtype=bool), np.empty(graph.n), np.empty(graph.n)
+        for i, entry in enumerate(self.communities):
+            members = sorted(layout.legitimate_in(i))
             if isinstance(entry, NormalDraw):
-                values[u] = entry.mean + math.sqrt(entry.variance) * rng.standard_normal()
+                normal[members] = True
+                mean[members], scale[members] = entry.mean, math.sqrt(entry.variance)
             else:
-                values[u] = entry.values[consumed[i]]
-                consumed[i] += 1
+                values[members] = entry.values
+        normal = np.flatnonzero(normal)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        values[normal] = mean[normal] + scale[normal] * rng.standard_normal(normal.size)
         return values
 
 

@@ -6,10 +6,13 @@ commca must agree with these on every instance small enough to enumerate.
 """
 
 import itertools
+import math
 import random
 from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from commca import Graph
+import numpy as np
+
+from commca import Graph, NormalDraw
 from commca.protocol import AdversaryStrategy, StateVector, median
 
 
@@ -109,6 +112,28 @@ def reversed_order_step(
         out[u] = alpha * vals[u] + (1.0 - alpha) * median(presented)
     return StateVector(tuple(out[u] for u in range(g.n)), t + 1)
 
+
+def loop_initial_values(spec, g: Graph, layout, seed: int) -> List[float]:
+    """InitializerSpec.initial_values agent by agent in id order: one
+    standard normal draw per normal agent, explicit values consumed in id
+    order per community, the constant for malicious agents."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    consumed = [0] * len(layout)
+    values = []
+    for u in range(g.n):
+        if layout.is_malicious(u):
+            values.append(spec.malicious_value)
+            continue
+        i = layout.community_of(u)
+        entry = spec.communities[i]
+        if isinstance(entry, NormalDraw):
+            values.append(entry.mean + math.sqrt(entry.variance) * rng.standard_normal())
+        else:
+            values.append(entry.values[consumed[i]])
+            consumed[i] += 1
+    return values
 
 def naive_graph(
     n: int, edges: Iterable[Tuple[int, int]]

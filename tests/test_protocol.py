@@ -405,6 +405,83 @@ class TestRunMatchesStep:
             assert trace.isolation[0].first == (0, 1, 100.0)
 
 
+    def test_bitwise_equality_when_a_median_ties_zeros_of_both_signs(self):
+        # agent 0 sees 0.0, -0.0, 0.0, 0.0 and -1.0 from agents 1-5; sorted()
+        # keeps the tied zeros in id order, so its round-0 median is agent
+        # 2's -0.0, and so is its round-1 value
+        g = Graph(6, [(0, v) for v in range(1, 6)])
+        cfg = SimulationConfig(g, CommunityLayout([range(6)]),
+                               PresetValues((-0.0, 0.0, -0.0, 0.0, 0.0, -1.0)), None, 0.5, 60, 0)
+        trace = assert_run_matches_step(cfg)
+        assert trace.values[1, 0].tobytes() == np.float64(-0.0).tobytes()
+        assert_reports_match_medians(trace)
+
+
+    def test_bitwise_equality_when_a_zero_joins_the_zeros_out_of_id_order(self):
+        # hub 0 (-0.0) sees -1.0 from agent 1, -0.0 from agents 2 and 6, 1.0
+        # from agent 9 and malicious agent 5's script: -0.5, then 0.0.  The
+        # other agents keep their values: triangles hold -1.0 (1, 4, 8) and
+        # 1.0 (9, 10, 11), and agents 2, 3, 6 and 7 hold -0.0.  Agent 5's 0.0
+        # keeps the order of values that held at round 0 non-decreasing, but
+        # sorted() puts it between agents 2 and 6, so the hub's round-1 median
+        # is 0.0 and its round-2 value 0.0, not -0.0
+        edges = [(0, 1), (0, 2), (0, 5), (0, 6), (0, 9), (1, 4), (1, 8), (4, 8), (2, 3), (2, 7),
+                 (6, 3), (6, 7), (3, 7), (9, 10), (9, 11), (10, 11)]
+        values = (-0.0, -1.0, -0.0, -0.0, -1.0, -0.5, -0.0, -0.0, -1.0, 1.0, 1.0, 1.0)
+        cfg = SimulationConfig(Graph(12, edges), CommunityLayout([range(12)], malicious={5}),
+                               PresetValues(values), RoundScript((-0.5, 0.0)), 0.5, 4, 0)
+        trace = assert_run_matches_step(cfg)
+        assert trace.values[1, 0].tobytes() == np.float64(-0.0).tobytes()
+        assert trace.values[2, 0].tobytes() == np.float64(0.0).tobytes()
+
+    def test_bitwise_equality_past_65536_slots(self):
+        # malicious hub 0 shows each of 33,000 legitimate agents on a path a
+        # value of its own, so the values take 66,003 slots (agents, table
+        # values and two pads) and run() ranks them in 4 bytes, not 2
+        k = 33_000
+        rng = np.random.default_rng(3)
+        edges = [(0, v) for v in range(1, k + 1)] + [(v, v + 1) for v in range(1, k)]
+        shown = rng.uniform(-10.0, 10.0, k)
+        assert np.unique(shown).size == k
+        adv = PerNeighborTable(dict(zip(((0, v) for v in range(1, k + 1)), shown.tolist())), 0.0)
+        values = (0.0, *rng.uniform(-10.0, 10.0, k).tolist())
+        cfg = SimulationConfig(Graph(k + 1, edges), CommunityLayout([range(k + 1)], malicious={0}),
+                               PresetValues(values), adv, 0.5, 3, 0)
+        assert_run_matches_step(cfg)
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bitwise_equality_on_tied_and_signed_zero_values(self, data):
+        # values from a pool that makes ties, runs of zeros of both signs and
+        # legitimate values equal to the adversary's all common; scripts up to
+        # 6 rounds long change the order of values before they hold, and
+        # tables repeat values, so several overrides share a value
+        draw = data.draw
+        pool = st.sampled_from((-1.0, -0.0, 0.0, 1.0, 60.0))
+        n = draw(st.integers(2, 10))
+        # a random tree gives every agent a neighbor; more edges on top
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        edges |= set(draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                                   max_size=2 * n)))
+        g = Graph(n, sorted(edges))
+        cut = draw(st.integers(1, n))
+        malicious = [u for u in range(n) if draw(st.booleans())]
+        layout = CommunityLayout([range(cut), range(cut, n)] if cut < n else [range(n)],
+                                 malicious)
+        kind = draw(st.sampled_from(["none", "script", "table"]))
+        if not malicious or kind == "none":
+            adversary = ConstantValue(draw(pool)) if malicious else None
+        elif kind == "script":
+            adversary = RoundScript(tuple(draw(st.lists(pool, min_size=1, max_size=6))))
+        else:
+            reach = [(m, v) for m in malicious for v in g.neighbors(m)]
+            keys = draw(st.lists(st.sampled_from(reach), unique=True))
+            adversary = PerNeighborTable({k: draw(pool) for k in keys}, draw(pool))
+        values = tuple(draw(st.lists(pool, min_size=n, max_size=n)))
+        alpha = draw(st.sampled_from((0.25, 0.5, 0.75)))
+        trace = assert_run_matches_step(SimulationConfig(
+            g, layout, PresetValues(values), adversary, alpha, draw(st.integers(1, 12)), 0))
+        assert_reports_match_medians(trace)
+
 def first_repeat(values) -> int:
     """The first row that repeats its predecessor bit for bit (0 if none)."""
     bits = values.view(np.uint64)
@@ -680,12 +757,16 @@ class TestRun:
 
     def test_trace_beyond_physical_memory_refused_up_front(self, monkeypatch):
         # 6 rows of 4 float64 values; one flag per round and agent; an 8-byte
-        # index and value per entry of the padded rows of widths 4, 2, 2, 2
-        # (degrees 3, 1, 1, 1); per row, 16 bytes of middle-entry places, 16
-        # of their values, an 8-byte median, 16 bytes of interval bounds and a
-        # 1-byte flag; and an 8-byte slot per entry of the 6 CSR entries
-        need = 6 * 4 * 8 + 5 * 4 + 2 * (4 + 2 + 2 + 2) * 8 + 4 * (16 + 16 + 8 + 16 + 1) + 6 * 8
-        assert need == 648
+        # index and a 2-byte rank per entry of the padded rows of widths 4, 2,
+        # 2, 2 (degrees 3, 1, 1, 1); per row, 16 bytes of middle-entry places,
+        # 4 of their ranks, 16 of their slots, 16 of their values, an 8-byte
+        # median, 16 bytes of interval bounds and a 1-byte flag; per slot (4
+        # agents and 2 pads), an 8-byte place in the order, a 2-byte rank, an
+        # 8-byte owner, an 8-byte value in the order and a 1-byte flag; and an
+        # 8-byte slot per entry of the 6 CSR entries
+        need = (6 * 4 * 8 + 5 * 4 + (4 + 2 + 2 + 2) * (8 + 2)
+                + 4 * (16 + 4 + 16 + 16 + 8 + 16 + 1) + 6 * (8 + 2 + 8 + 8 + 1) + 6 * 8)
+        assert need == 830
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match="5-round trace of 4 agents"):
             run(star_config())
@@ -695,13 +776,15 @@ class TestRun:
     def test_memory_guard_counts_each_row_at_its_own_width(self, monkeypatch):
         # a 1000-leaf star: the hub's row is 1024 wide and every leaf's 2, so
         # the padded rows take 3024 entries, not 1001 rows of the hub's width;
-        # each entry holds an index and a value, each row 57 bytes (as in the
-        # test above) and each of the 2000 CSR entries a slot
+        # each entry holds an index and a 2-byte rank, each row 77 bytes and
+        # each of the 1003 slots 27 (as in the test above), and each of the
+        # 2000 CSR entries a slot
         g = Graph(1001, [(0, v) for v in range(1, 1001)])
         cfg = SimulationConfig(g, CommunityLayout([range(1001)]),
                                PresetValues(tuple(float(u % 7) for u in range(1001))), None, 0.5, 5, 0)
-        need = 6 * 1001 * 8 + 5 * 1001 + 2 * (1024 + 1000 * 2) * 8 + 1001 * 57 + 2000 * 8
-        assert need == 174_494
+        need = (6 * 1001 * 8 + 5 * 1001 + (1024 + 1000 * 2) * (8 + 2) + 1001 * 77 + 1003 * 27
+                + 2000 * 8)
+        assert need == 203_451
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
             run(cfg)

@@ -31,6 +31,8 @@ from commca import (
 from commca.protocol import MAX_MAGNITUDE
 from commca.scenarios import EXAMPLE2_SPLIT, EXAMPLES, example1, example2, example3
 
+from reference import loop_initial_values
+
 BASE_DOC = """\
 graph
 n 4
@@ -244,6 +246,20 @@ class TestInitializerSpec:
         )
         values = spec.initial_values(g, layout, 0)
         assert list(values) == [10.0, 30.0, 20.0, 40.0]
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 1234])
+    def test_values_equal_the_agent_by_agent_draws_bit_for_bit(self, seed):
+        # examples 1-3, and a layout that mixes explicit and normal
+        # communities around malicious agents, against one draw per agent
+        g = Graph(9, [(u, u + 1) for u in range(8)])
+        layout = CommunityLayout([{0, 3, 6}, {1, 4, 7}, {2, 5, 8}], malicious={4, 6})
+        spec = InitializerSpec(
+            (NormalDraw(2.0, 1.0), ExplicitValues((-0.0, 5.0)), NormalDraw(-30.0, 0.5)), 60.0)
+        mixed = SimulationConfig(g, layout, spec, ConstantValue(60.0), 0.5, 1, seed)
+        for cfg in (example1(seed=seed), example2(seed=seed), example3(seed=seed), mixed):
+            got = cfg.initializer.initial_values(cfg.graph, cfg.layout, seed)
+            want = np.array(loop_initial_values(cfg.initializer, cfg.graph, cfg.layout, seed))
+            assert got.tobytes() == want.tobytes()
 
     def test_explicit_count_mismatch_reported(self):
         g = complete_graph(3)

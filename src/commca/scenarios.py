@@ -15,9 +15,14 @@ normal(30, 5), and malicious agents holding 60.  They differ in the graph:
     legitimate agents' external edges are routed to malicious agents of the
     other community; its values get dragged out of the initial interval.
 
-Builders are self-certifying: they re-check every structural property they
-claim (external degree bounds, community predicate outcomes) and raise if
-construction ever drifts from the claim.
+Builders are self-certifying: one community check per community must give
+the (external degree, min degree, required degree, failed clauses) that
+`check --community` prints, or the builder raises.  example1 claims (2, 122,
+43, none) and (2, 34, 23, none), example2 (1, 15, 14, none) and (1, 4, 4,
+robustness), example3 (2, 14, 15, degree) and (2, 10, 9, none).  example2's
+clique split is checked on the whole graph: a member's excess there is its
+excess in the community plus its external degree, so a violation there is one
+in the community too.
 
 Scenario documents are read with the line grammar of `graph` (blank and '#'
 lines, `community <i>:` heads, id lists, the graph section itself), so error
@@ -156,33 +161,32 @@ def _certify(condition: bool, claim: str) -> None:
         raise RuntimeError(f"builder self-certification failed: {claim}")
 
 
-def _certify_external(community: int, got: int, want: int) -> None:
-    _certify(got == want, f"community {community} external degree is {want}")
-
-
-def _two_cliques(
-    n1: int, n2: int, f1: int, f2: int, cross: list[tuple[int, int]] | np.ndarray
-) -> tuple[Graph, frozenset[int]]:
-    """Complete graphs on n1 and n2 agents side by side plus the `cross`
-    edges, built as one graph from one edge array, with the last f1 and the
-    last f2 agents of each malicious."""
-    first, second = (np.column_stack(np.triu_indices(size, 1)) + lo
-                     for lo, size in ((0, n1), (n1, n2)))
-    g = Graph(n1 + n2, np.concatenate([first, second, np.reshape(cross, (-1, 2))]))
-    return g, frozenset(range(n1 - f1, n1)) | frozenset(range(n1 + n2 - f2, n1 + n2))
+def _cliques(sizes: tuple[int, ...], extra: list[tuple[int, int]] | np.ndarray) -> Graph:
+    """Complete graphs on consecutive id blocks of the given sizes plus the
+    `extra` edges, built as one graph from one edge array."""
+    starts = np.cumsum((0,) + sizes[:-1])
+    blocks = [np.column_stack(np.triu_indices(size, 1)) + lo for lo, size in zip(starts, sizes)]
+    return Graph(sum(sizes), np.concatenate(blocks + [np.reshape(extra, (-1, 2))]))
 
 
 def _two_communities(
-    g: Graph, n1: int, malicious: frozenset[int], seed: int, rounds: int, alpha: float,
+    g: Graph, n1: int, malicious: frozenset[int], claims: tuple[tuple, tuple],
+    seed: int, rounds: int, alpha: float,
 ) -> SimulationConfig:
     """The skeleton every example shares: communities 0..n1-1 and n1..n-1;
     legitimate values start at normal(2, 1) and normal(30, 5); malicious
-    agents hold 60.  Each example certifies its communities' external degree
-    bounds itself, most from the community check that computes them anyway."""
-    communities = (frozenset(range(n1)), frozenset(range(n1, g.n)))
+    agents hold 60.  Each community's claim is the tuple (external degree,
+    induced minimum degree, required degree, failed clauses) that
+    `check --community` prints, certified by one community check."""
+    layout = CommunityLayout((frozenset(range(n1)), frozenset(range(n1, g.n))), malicious)
+    for i, (members, claim) in enumerate(zip(layout.subsets, claims)):
+        check = robustness.is_community(g, members, layout.malicious_count(i))
+        got = (check.external_degree, check.min_degree, check.required_degree, check.reasons)
+        _certify(got == claim, f"community {i + 1} has external degree, min degree, "
+                               f"required degree and failed clauses {claim}, not {got}")
     return SimulationConfig(
         graph=g,
-        layout=CommunityLayout(communities, malicious),
+        layout=layout,
         initializer=InitializerSpec((NormalDraw(2.0, 1.0), NormalDraw(30.0, 5.0)), 60.0),
         adversary=ConstantValue(60.0),
         alpha=alpha,
@@ -206,21 +210,14 @@ def example1(
     normal(30, 5); malicious agents hold 60.
     """
     _require_seed(seed)
-    n1, n2, f1, f2 = 123, 35, 20, 10
     rng = np.random.Generator(np.random.PCG64(seed))  # shuffles each side's legitimate ids
-    side1 = rng.permutation(range(n1 - f1))
-    side2 = rng.permutation(range(n1, n1 + n2 - f2))
+    side1 = rng.permutation(range(103))
+    side2 = rng.permutation(range(123, 148))
     edge = np.arange(26)
-    g, malicious = _two_cliques(
-        n1, n2, f1, f2, np.column_stack([side1[edge % 24], side2[edge % 25]])
-    )
-    config = _two_communities(g, n1, malicious, seed, rounds, alpha)
-    layout = config.layout
-    for i, members in enumerate(layout.subsets):
-        check = robustness.is_community(g, members, layout.malicious_count(i))
-        _certify_external(i + 1, check.external_degree, 2)
-        _certify(check.is_community, f"community {i + 1} passes the community predicate")
-    return config
+    g = _cliques((123, 35), np.column_stack([side1[edge % 24], side2[edge % 25]]))
+    malicious = frozenset(range(103, 123)) | frozenset(range(148, 158))
+    claims = ((2, 122, 43, ()), (2, 34, 23, ()))
+    return _two_communities(g, 123, malicious, claims, seed, rounds, alpha)
 
 
 def example2(
@@ -241,27 +238,13 @@ def example2(
     communities.
     """
     _require_seed(seed)
-    n1, f1 = 16, 6
-    five, four = EXAMPLE2_SPLIT
-    edges = [(a, b) for a in range(n1) for b in range(a + 1, n1)]
-    edges += [(a, b) for a in five for b in five if a < b]
-    edges += [(a, b) for a in four for b in four if a < b]
-    edges += [(20, b) for b in four] + [(0, 16)]
-    g = Graph(n1 + 9, edges)
-    malicious = frozenset(range(n1 - f1, n1)) | {20}
-    config = _two_communities(g, n1, malicious, seed, rounds, alpha)
-    community1, community2 = config.layout.subsets
-
-    check1 = robustness.is_community(g, community1, f1)
-    _certify_external(1, check1.external_degree, 1)
-    _certify_external(2, g.max_external_degree(community2), 1)
-    _certify(check1.is_community, "community 1 passes the community predicate")
-    sub, nodes = g.induced_subgraph(community2)
-    _certify(sub.min_degree() == 4, "community 2 induced minimum degree is 4")
-    verdict = robustness.is_rs_excess_robust(sub, 1, 2)
-    _certify(not verdict.robust, "community 2 is not (1, 2)-excess robust")
-    split = tuple(frozenset(nodes.index(u) for u in side) for side in EXAMPLE2_SPLIT)
-    ev = robustness.evaluate_pair(sub, split[0], split[1], 1, 2)
+    g = _cliques((16, 5, 4), [(20, b) for b in range(21, 25)] + [(0, 16)])
+    malicious = frozenset(range(10, 16)) | {20}
+    claims = ((1, 15, 14, ()), (1, 4, 4, ("robustness",)))
+    config = _two_communities(g, 16, malicious, claims, seed, rounds, alpha)
+    # a member's excess in g is its community excess plus its external degree,
+    # so a pair violating the clauses in g violates them in the community too
+    ev = robustness.evaluate_pair(g, *EXAMPLE2_SPLIT, 1, 2)
     _certify(not ev.satisfied, "the clique split violates the (1, 2) clauses")
     return config
 
@@ -284,26 +267,11 @@ def example3(
     initial interval.  Community 2 still passes the predicate.
     """
     _require_seed(seed)
-    n1, f1, f2 = 15, 6, 3
     # carriers 0, 1, 2 of community 1 to malicious targets 23, 24, 25
-    g, malicious = _two_cliques(
-        n1, 11, f1, f2, [(0, 23), (0, 24), (1, 24), (1, 25), (2, 25), (2, 23)]
-    )
-    config = _two_communities(g, n1, malicious, seed, rounds, alpha)
-    community1, community2 = config.layout.subsets
-
-    check1 = robustness.is_community(g, community1, f1)
-    check2 = robustness.is_community(g, community2, f2)
-    _certify_external(1, check1.external_degree, 2)
-    _certify_external(2, check2.external_degree, 2)
-    _certify(check1.robust, "community 1 passes the robustness clause")
-    _certify(
-        check1.reasons == ("degree",) and check1.min_degree == 14
-        and check1.required_degree == 15,
-        "community 1 fails the degree clause alone, 14 against 15",
-    )
-    _certify(check2.is_community, "community 2 passes the community predicate")
-    return config
+    g = _cliques((15, 11), [(0, 23), (0, 24), (1, 24), (1, 25), (2, 25), (2, 23)])
+    malicious = frozenset(range(9, 15)) | frozenset(range(23, 26))
+    claims = ((2, 14, 15, ("degree",)), (2, 10, 9, ()))
+    return _two_communities(g, 15, malicious, claims, seed, rounds, alpha)
 
 
 EXAMPLES = {1: example1, 2: example2, 3: example3}

@@ -556,6 +556,29 @@ class TestPairEvaluationInputs:
             evaluate_pair(complete_graph(4), {0}, {1}, 0, 0)
 
 
+class TestWholeGraphPair:
+    @settings(deadline=None)
+    @given(graphs(10), st.data())
+    def test_violation_in_the_graph_is_one_in_the_induced_subgraph(self, g, data):
+        # the lemma behind example 2 checking its clique split on the whole graph
+        if g.n < 2:
+            return
+        members = data.draw(st.sets(st.integers(0, g.n - 1), min_size=2))
+        sub, nodes = g.induced_subgraph(members)
+        outside = g.external_degrees(members)
+        sides = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(nodes),
+                                   max_size=len(nodes)).filter(lambda x: {1, 2} <= set(x)))
+        pair = [[u for u, side in zip(nodes, sides) if side == i] for i in (1, 2)]
+        induced = [[nodes.index(u) for u in part] for part in pair]
+        for part, mapped in zip(pair, induced):
+            whole = reachable_set(g, part, 0).excess_by_agent
+            inside = reachable_set(sub, mapped, 0).excess_by_agent
+            assert all(whole[u] == inside[v] + outside[u] for u, v in zip(part, mapped))
+        r, s = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4))
+        if not evaluate_pair(g, *pair, r, s).satisfied:
+            assert not evaluate_pair(sub, *induced, r, s).satisfied
+
+
 class TestReachabilityPreservation:
     def test_clique_with_pendant(self):
         g = add_cross_edges(disjoint_union(complete_graph(5), Graph(1)), [(0, 5)])

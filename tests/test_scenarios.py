@@ -12,6 +12,7 @@ from commca import (
     CommunityLayout,
     ConfigError,
     ConstantValue,
+    EnumerationCapExceeded,
     ExplicitValues,
     FormatError,
     Graph,
@@ -28,6 +29,7 @@ from commca import (
     load_scenario,
     run,
 )
+from commca import scenarios
 from commca.protocol import MAX_MAGNITUDE
 from commca.scenarios import EXAMPLE2_SPLIT, EXAMPLES, example1, example2, example3
 
@@ -175,10 +177,43 @@ def test_builders_refuse_a_negative_seed_before_drawing(build):
         build(seed=-1)
 
 
+def _drop_block_edge(monkeypatch, edge):
+    cliques = scenarios._cliques
+
+    def dropped(sizes, extra):
+        g = cliques(sizes, extra)
+        assert edge in g.edges
+        return Graph(g.n, sorted(g.edges - {edge}))
+
+    monkeypatch.setattr(scenarios, "_cliques", dropped)
+
+
+@pytest.mark.parametrize("build,edge,community", [
+    (example2, (1, 2), 1), (example2, (17, 18), 2), (example2, (21, 22), 2),
+    (example3, (1, 2), 1), (example3, (16, 17), 2),
+])
+def test_builders_refuse_a_graph_that_misses_a_claim(build, edge, community, monkeypatch):
+    _drop_block_edge(monkeypatch, edge)
+    with pytest.raises(RuntimeError,
+                       match=f"^builder self-certification failed: community {community} "):
+        build()
+
+
+@pytest.mark.parametrize("edge", [(1, 2), (124, 125)])
+def test_example1_refuses_a_block_edge_dropped_past_the_cap(edge, monkeypatch):
+    # both blocks exceed the enumeration cap, and a complete block less one
+    # edge is not decided by its degree bound, so the community check itself
+    # refuses before any claim is compared
+    _drop_block_edge(monkeypatch, edge)
+    with pytest.raises(EnumerationCapExceeded):
+        example1()
+
+
 @pytest.mark.parametrize("build,sizes", [(example1, [158]), (example2, [25, 9]),
                                          (example3, [26])])
 def test_builders_construct_each_graph_once(build, sizes, monkeypatch):
-    # example2 also builds its second community to certify the split
+    # example2's second graph is its second community, which the community
+    # check induces for the engine; the split is checked on the whole graph
     built = []
     init = Graph.__init__
 

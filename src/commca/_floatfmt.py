@@ -12,6 +12,11 @@ shortest decimal inside the interval that lies closest to v, ties to an even
 digit.  Two changes make it shortest always, not just at two digits or more:
 the subnormal branch that multiplies tiny significands by ten is dropped, and
 the one-digit-shorter candidate is tried from s >= 10 on, not s >= 100.
+The reference multiplies each of v and its two bounds by g, three 128-bit
+products of two words each; here g's two words times v's scaled
+significand are formed once as full products, on 32-bit limbs, and each
+bound's products are those plus or minus g shifted left by one power of
+two, a shifted add on each word with a carry or borrow between them.
 The string follows CPython's 'r' format: positional when the decimal point
 position lies in -3..16 (".0" added to integral values), otherwise
 d[.ddd]e+XX with at least two exponent digits; "-" for a set sign bit, and
@@ -71,20 +76,35 @@ def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, on 32-bit limbs."""
+    """High 64 bits of the 128-bit products a * b, on 32-bit limbs, for a <
+    2^63 and b < 2^60 (a table word and a shifted significand): the two
+    cross products then sum to less than 2^64."""
     a1, a0 = a >> 32, a & _LOW32
     b1, b0 = b >> 32, b & _LOW32
-    cross = a1 * b0
-    other = a0 * b1
-    carry = ((a0 * b0) >> 32) + (cross & _LOW32) + (other & _LOW32)
-    return a1 * b1 + (cross >> 32) + (other >> 32) + (carry >> 32)
+    cross = a1 * b0 + a0 * b1
+    carry = ((a0 * b0) >> 32) + (cross & _LOW32)
+    return a1 * b1 + (cross >> 32) + (carry >> 32)
 
 
-def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+def _offset(hi: np.ndarray, lo: np.ndarray, g: np.ndarray, s: np.ndarray,
+            sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit numbers hi * 2^64 + lo plus (sign 1) or minus (sign -1)
+    g * 2^s, for 1 <= s <= 63, as (high, low) words: a shifted add on each
+    word and a carry or borrow between them."""
+    up, down = g << s, g >> (np.uint64(64) - s)
+    if sign > 0:
+        low = lo + up
+        return hi + down + (low < lo), low
+    low = lo - up
+    return hi - down - (low > lo), low
+
+
+def _rop(y1: np.ndarray, y0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """cp * g / 2^127 rounded to odd: its floor with the low bit set when
-    inexact (Schubfach's figure 8)."""
-    z = ((g1 * cp) >> 1) + _mulhi(g0, cp)  # g1 * cp wraps to its low 64 bits
-    return (_mulhi(g1, cp) + (z >> 63)) | ((z & _LOW63) != 0)
+    inexact (Schubfach's figure 8), from the high and low words y1, y0 of
+    g1 * cp and the high word x1 of g0 * cp."""
+    z = (y0 >> np.uint64(1)) + x1
+    return (y1 + (z >> np.uint64(63))) | ((z & _LOW63) != 0)
 
 
 def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,10 +123,19 @@ def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     table1, table0 = _pow10_table()
     g1, g0 = table1[_K_MAX - k], table0[_K_MAX - k]
     out = c & np.uint64(1)  # the interval is closed for an even significand
-    # v and the bounds of its rounding interval, times 4 * 10^-k
-    cb = c << np.uint64(2)
-    bounds = np.stack([cb, cb - np.uint64(2) + irregular, cb + np.uint64(2)])
-    vb, vbl, vbr = _rop(g1, g0, bounds << h)
+    # v and the bounds of its rounding interval, times 4 * 10^-k: v's cp is
+    # 4 * c * 2^h and the bounds' are cp - 2^(h + 1) (cp - 2^h at an
+    # irregular gap) and cp + 2^(h + 1).  So g1 * cp and g0 * cp, formed once
+    # in full, give each bound's two products by taking or adding g1 and g0
+    # shifted left by that power.
+    cp = c << (h + np.uint64(2))
+    y1, y0 = _mulhi(g1, cp), g1 * cp  # g1 * cp wraps to its low 64 bits
+    x1, x0 = _mulhi(g0, cp), g0 * cp
+    vb = _rop(y1, y0, x1)
+    right = h + np.uint64(1)
+    left = right - irregular
+    vbl = _rop(*_offset(y1, y0, g1, left, -1), _offset(x1, x0, g0, left, -1)[0])
+    vbr = _rop(*_offset(y1, y0, g1, right, 1), _offset(x1, x0, g0, right, 1)[0])
     s = vb >> np.uint64(2)
     # one digit shorter: the multiples of ten just below and above s
     sp10 = s // np.uint64(10) * np.uint64(10)
@@ -119,7 +148,7 @@ def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uin = vbl + out <= s << np.uint64(2)
     win = (u << np.uint64(2)) + out <= vbr
     mid = (s + u) << np.uint64(1)
-    take_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & (s % 2 == 0)))
+    take_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & np.uint64(1)) == 0)))
     f = np.where(shorter, np.where(upin, sp10, tp10), np.where(take_s, s, u))
     return f, k
 
@@ -143,7 +172,8 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
     """The eight decimal digits of each x < 10^8 in ASCII, the first in the
     lowest byte: lanes halve from four digits to two to one, divisions
     by 100 and 10 being multiplications and shifts."""
-    v = x // np.uint64(10000) | (x % np.uint64(10000)) << np.uint64(32)
+    high = x // np.uint64(10000)
+    v = high | (x - high * np.uint64(10000)) << np.uint64(32)
     hundreds = (v * np.uint64(10486)) >> np.uint64(20) & np.uint64(0x7F_0000007F)
     v = hundreds | (v - np.uint64(100) * hundreds) << np.uint64(16)
     tens = (v * np.uint64(103)) >> np.uint64(10) & np.uint64(0xF_000F_000F_000F)
@@ -166,9 +196,12 @@ def _format_chunk(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point = ndigits + k  # value = 0.d1d2...dn * 10^point
     # the digits left-aligned in 17 places, zeros after them
     left = f * _POW10[_DIGITS - ndigits]
-    rest = left % _POW10[16]
-    high, low = _ascii8(np.stack([rest // _POW10[8], rest % _POW10[8]]))
-    digits = np.stack([left // _POW10[16] + np.uint64(ord("0")) | high << np.uint64(8),
+    # remainders by constants as x - x // c * c, which numpy computes faster
+    first = left // _POW10[16]
+    rest = left - first * _POW10[16]
+    upper = rest // _POW10[8]
+    high, low = _ascii8(np.stack([upper, rest - upper * _POW10[8]]))
+    digits = np.stack([first + np.uint64(ord("0")) | high << np.uint64(8),
                        high >> np.uint64(56) | low << np.uint64(8),
                        low >> np.uint64(56)])
     # m significant digits once trailing zeros go: the bytes up to the last
@@ -212,10 +245,12 @@ def _format_chunk(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         text[:, sci] |= _shift(tails, length[sci])
         length[sci] += 4 + wide
     # the sign
-    signed = _shift(text, 1)
-    signed[0] |= np.uint64(ord("-"))
-    text = np.where(neg == 1, signed, text)
-    length += neg.astype(np.intp)
+    negative = neg == 1
+    if negative.any():
+        signed = _shift(text[:, negative], 1)
+        signed[0] |= np.uint64(ord("-"))
+        text[:, negative] = signed
+        length += negative
     if special.any():
         name = np.where(magnitude[special] == _INF, neg[special], 2)
         text[:, special] = _SPECIAL[:, name]

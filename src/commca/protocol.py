@@ -26,10 +26,14 @@ its neighbors' ranks in that order; sorted, it has its median at the slots
 of columns h - 1 and h, or h - 1 twice at odd degree, as (a + a) / 2 == a
 within MAX_MAGNITUDE.  While the cached order still sorts a round's values,
 its medians are one gather from those slots; only a round whose order
-changed sorts the slots and the rank rows again.  Each trace row is one
-gather, in agent-id order, from the slots.  A bool flag per agent says
-whether its median left its community's initial interval; isolation reports
-are read off those flags after the last round.
+changed sorts the slots and the rank rows again.  A round keeps only that
+order check, the update and the fixed-point test: its medians go into a
+block buffer of up to _ROUND_BLOCK rounds and its row is copied as the
+slots hold it.  Once per block, three whole-block comparisons set a bool
+flag per agent and round saying whether its median left its community's
+initial interval, and one gather puts the block's rows in agent-id order;
+the newest row stays in slot order for the next fixed-point test.
+Isolation reports are read off those flags after the last round.
 A round depends only on the legitimate values before it and on what the
 script shows, so once the script holds its last entry, a row that repeats
 its predecessor bit for bit repeats in every later round: run() stops there
@@ -73,8 +77,12 @@ MAX_MAGNITUDE = 1e300
 # temporary arrays stays near 200 KB however long the trace is.
 _BLOCK_CELLS = 4096
 
+# Rounds whose medians and rows run() keeps before it sets their isolation
+# flags and gathers the rows into agent order.
+_ROUND_BLOCK = 64
+
 # Float64 cells (1 MB) in run()'s first chunk of trace rows, which doubles
-# each time it fills; a 500-round run of 158 agents fits in the first chunk.
+# each time a block of rounds does not fit; a 500-round run of 158 agents fits in the first chunk.
 _CHUNK_CELLS = 1 << 17
 
 # where a sorted vector's zeros (-0.0 and 0.0 alike) begin and end
@@ -412,12 +420,13 @@ class Trace:
             size = 10**k
             buf = np.tile(row, (size, 1))
             buf[:, holes[:, d - k :]] = _digits(np.arange(size), k)[:, None, :]
+            cols = np.ascontiguousarray(holes.T)  # cols[i]: digit i's columns
             shown = np.zeros(d - k, dtype=np.uint8)  # the high digits in buf
             for base in range(lo - lo % size, hi, size):
                 end = min(hi - base, size)
                 high = _digits(np.array(base // size), d - k)
-                changed = np.flatnonzero(high != shown)
-                buf[:end, holes[:, changed]] = high[changed]
+                for i in np.flatnonzero(high != shown).tolist():
+                    buf[:end, cols[i]] = high[i]
                 shown = high
                 fh.write(buf[max(lo - base, 0) : end])
             lo = hi
@@ -444,18 +453,23 @@ def run(config: SimulationConfig) -> Trace:
     ranks, 4-byte past 65,536 slots), sorts each class's rows and keeps the
     slots of each row's two middle entries.  Every other round only checks
     the order, gathers those entries and takes their mean; the malicious
-    agents' values are written only while the script has not yet held.  The
-    trace row, in agent-id order, is one gather from the slots.  Whether
-    each median left its community's initial interval is kept as one byte
-    (a bool flag), and the isolation reports are read off those flags after
-    the last round.
+    agents' values are written only while the script has not yet held.  A
+    round's medians go into row j of a block buffer of up to _ROUND_BLOCK
+    rounds, the update multiplies them into a separate buffer, and the
+    round's trace row is the contiguous p[:n] in slot order.  Once per block
+    (a flush), three whole-block comparisons set one byte (a bool flag) per
+    median saying whether it left its community's initial interval, and one
+    gather puts the block's rows in agent-id order.  The newest row stays in
+    slot order, so the fixed-point test always compares two rows in the same
+    order, and it runs before a flush converts the row before it.  The
+    isolation reports are read off the flags after the last round.
     From the first round at or after the script's last entry whose new row
     equals the row before it bit for bit, every later round repeats it, so
     the loop stops there and counts that round's flags once for each later
     round.  The rows and flags live in buffers that start at a chunk of
-    about 1 MB and double when full, so memory grows with the rounds that
-    change, not with the round count; the trace keeps the rows up to the
-    last distinct one and how often that one repeats.
+    about 1 MB and double when a flush does not fit, so memory grows with
+    the rounds that change, not with the round count; the trace keeps the
+    rows up to the last distinct one and how often that one repeats.
     """
     config.validate()
     g, layout = config.graph, config.layout
@@ -502,12 +516,14 @@ def run(config: SimulationConfig) -> Trace:
     # The worst case, checked before any round, as a run need not reach a fixed
     # point: the trace and a bool flag per legitimate agent and round; an index
     # and a rank per padded row entry; per row, the places, ranks, slots and
-    # values of its middle entries, its median, its interval bounds and a
-    # flag; per slot, its place in the order, rank, owner, value in the order
-    # and a flag; and source's slot per CSR entry.
+    # values of its middle entries, its update term, its interval bounds, and
+    # a median and a flag for each round of a block; a block's rows and the
+    # newest row before them; per slot, its place in the order, rank, owner,
+    # value in the order and a flag; and source's slot per CSR entry.
     rb = rank_type.itemsize
-    if (8 * (T + 1) * n + L * T + 2 * (8 + rb) * int(half.sum()) + (73 + 2 * rb) * L
-            + (25 + rb) * S + 8 * g.indices.size > graph.physical_memory()):
+    B = min(_ROUND_BLOCK, T)
+    if (8 * (T + 1) * n + L * T + 2 * (8 + rb) * int(half.sum()) + (72 + 2 * rb + 9 * B) * L
+            + 8 * (B + 1) * n + (25 + rb) * S + 8 * g.indices.size > graph.physical_memory()):
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     p = np.concatenate([x0[legit_arr], np.full(n - L, script[0]),
                         bits[value].view(np.float64), [-np.inf, np.inf]])
@@ -550,7 +566,6 @@ def run(config: SimulationConfig) -> Trace:
     later, earlier, fell = ordered[1:], ordered[:-1], np.empty(S - 1, dtype=bool)
     pair = np.empty((L, 2))
     left, right = pair.T
-    med = np.empty(L)
 
     def reorder() -> None:  # order, rank and src for the values in p
         # no index is out of range; unlike "raise", "clip" fills out unbuffered
@@ -569,25 +584,45 @@ def run(config: SimulationConfig) -> Trace:
 
     # rows[t] is the trace row of round t and outside[t, k] says whether
     # legit_arr[k]'s median at round t left its community's interval.  Both
-    # hold `size` rounds and double in place (a realloc) when row t + 1 does
-    # not fit, so no view of either may outlive a round.
+    # hold `size` rounds and double in place (a realloc) when a block does
+    # not fit, so no view of either may outlive a flush.  A block of B rounds
+    # keeps round r0 + j's medians in meds[j] and its new row, in slot order,
+    # in recent[j + 1]; recent[0] holds row r0, the newest row of the block
+    # before.  A flush sets the block's flags with three whole-block
+    # comparisons and gathers its rows into agent order, all but the newest,
+    # which stays in slot order for the next fixed-point test.
     size = min(T + 1, max(2, _CHUNK_CELLS // max(n, 1)))
     rows = np.empty((size, n), dtype=np.float64)
     outside = np.empty((size, L), dtype=bool)
-    rows[0] = x0
+    meds, flags = np.empty((B, L)), np.empty((B, L), dtype=bool)
+    recent = np.empty((B + 1, n))
+    recent[0] = x0[np.concatenate([legit_arr, mal_arr])]  # row 0 in slot order
+    scaled = np.empty(L)
     x = p[:L]
 
     members = [np.array(sorted(s - layout.malicious), dtype=np.intp) for s in layout.subsets]
     intervals = [(float(x0[m].min()), float(x0[m].max())) if m.size else None for m in members]
     low, high = np.array([intervals[layout.community_of(u)] for u in legit_arr]).reshape(-1, 2).T
-    above = np.empty(L, dtype=bool)
-    kept = T  # rows of outside computed; the last one holds in every later round
-    reorder()
-    for t in range(T):
-        if t + 1 == size:
+
+    def flush(r0: int, count: int, newest: bool) -> None:
+        # rounds r0..r0 + count - 1 and their rows, and row r0 + count too
+        # when it is the newest of the run
+        nonlocal size
+        end = r0 + count + newest
+        while end > size:
             size = min(T + 1, 2 * size)
             rows.resize((size, n), refcheck=False)
             outside.resize((size, L), refcheck=False)
+        recent[: count + newest].take(slot, axis=1, out=rows[r0:end], mode="clip")
+        np.less(meds[:count], low, out=outside[r0 : r0 + count])
+        np.greater(meds[:count], high, out=flags[:count])
+        outside[r0 : r0 + count] |= flags[:count]
+
+    kept = T  # rows of outside computed; the last one holds in every later round
+    r0 = 0  # the block's first round
+    reorder()
+    for t in range(T):
+        j = t - r0
         # While p read in the old order is non-decreasing, that order sorts
         # this round's values too, and each row's k-th entry is in the slot it
         # was in.  Equal values have equal bits, except -0.0 and 0.0: the
@@ -600,25 +635,26 @@ def run(config: SimulationConfig) -> Trace:
             if 1 in fell.tobytes() or hi - lo > 1 and (np.diff(owner[order[lo:hi]]) < 0).any():
                 reorder()
         p.take(src, out=pair, mode="clip")
-        m = np.add(right, left, out=med)
+        m = np.add(right, left, out=meds[j])
         m /= 2.0
-        np.less(m, low, out=outside[t])
-        np.greater(m, high, out=above)
-        outside[t] |= above
         # alpha * x + (1 - alpha) * m: the same two products and one sum
         x *= alpha
-        m *= 1.0 - alpha
-        x += m
+        x += np.multiply(m, 1.0 - alpha, out=scaled)
         # p[L:n] shows script[0] from the start and changes only until the
-        # script holds; slot[u] is agent u's place in p, which now holds round
-        # t + 1
+        # script holds; p[:n], now round t + 1, is that row in slot order
         if t < held:
             p[L:n] = script[t + 1]
-        p.take(slot, out=rows[t + 1], mode="clip")
+        new = recent[j + 1]
+        new[:] = p[:n]
         # the fixed point; comparing bytes keeps -0.0 apart from 0.0
-        if t >= held and rows[t + 1].tobytes() == rows[t].tobytes():
+        if t >= held and new.tobytes() == recent[j].tobytes():
             kept = t + 1
             break
+        if j + 1 == B:
+            flush(r0, B, False)
+            recent[0] = new
+            r0 = t + 1
+    flush(r0, kept - r0, True)
 
     reports = []
     for i, own in enumerate(members):

@@ -177,13 +177,21 @@ def _two_communities(
     legitimate values start at normal(2, 1) and normal(30, 5); malicious
     agents hold 60.  Each community's claim is the tuple (external degree,
     induced minimum degree, required degree, failed clauses) that
-    `check --community` prints, certified by one community check."""
+    `check --community` prints, certified by one community check.  A check
+    that would enumerate past the cap fails the claim too: a claimed
+    community is one that its closed forms decide."""
     layout = CommunityLayout((frozenset(range(n1)), frozenset(range(n1, g.n))), malicious)
     for i, (members, claim) in enumerate(zip(layout.subsets, claims)):
-        check = robustness.is_community(g, members, layout.malicious_count(i))
+        what = (f"community {i + 1} has external degree, min degree, required degree "
+                f"and failed clauses {claim}")
+        try:
+            check = robustness.is_community(g, members, layout.malicious_count(i))
+        except robustness.EnumerationCapExceeded as exc:
+            raise RuntimeError(f"builder self-certification failed: {what}, but its "
+                               f"check would enumerate {exc.size} agents, past the cap "
+                               f"of {exc.cap}") from exc
         got = (check.external_degree, check.min_degree, check.required_degree, check.reasons)
-        _certify(got == claim, f"community {i + 1} has external degree, min degree, "
-                               f"required degree and failed clauses {claim}, not {got}")
+        _certify(got == claim, f"{what}, not {got}")
     return SimulationConfig(
         graph=g,
         layout=layout,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commca._floatfmt import shortest_repr
+from commca._floatfmt import _mulhi, _offset, shortest_repr
 from commca.protocol import MAX_MAGNITUDE
 
 
@@ -87,3 +87,42 @@ class TestShortestRepr:
         values = np.concatenate([rng.normal(0, 100, 5000), rng.normal(0, 1e-6, 5000),
                                  rng.integers(0, 2**64, 5000, dtype=np.uint64).view(np.float64)])
         assert_matches_repr(values)
+
+
+class TestBoundProducts:
+    """_decimal forms g1 * cp and g0 * cp once, as 128-bit products, and gets
+    each rounding-interval bound's products by adding or taking g * 2^s with
+    a carry or borrow between the two 64-bit words."""
+
+    def test_offsets_match_python_integers(self):
+        rng = np.random.default_rng(5)
+        g = rng.integers(0, 2**63, 4000, dtype=np.uint64)
+        cp = rng.integers(2**6, 2**60, 4000, dtype=np.uint64)
+        g[:3] = [0, 1, 2**63 - 1]
+        cp[:3] = [2**60 - 1, 2**6, 2**60 - 1]
+        s = rng.integers(1, 6, 4000).astype(np.uint64)
+        hi, lo = _mulhi(g, cp), g * cp
+        exact = [a * b for a, b in zip(g.tolist(), cp.tolist())]
+        assert [h << 64 | w for h, w in zip(hi.tolist(), lo.tolist())] == exact
+        for sign in (1, -1):
+            high, low = _offset(hi, lo, g, s, sign)
+            want = [p + sign * (a << k) for p, a, k in zip(exact, g.tolist(), s.tolist())]
+            assert [h << 64 | w for h, w in zip(high.tolist(), low.tolist())] == want
+            # both words' paths are taken: with and without a carry or borrow
+            crossed = (low < lo) if sign > 0 else (low > lo)
+            assert 0 < crossed.sum() < crossed.size
+
+    def test_significand_extremes_at_every_exponent(self):
+        # significands 2^52 and 2^53 - 1 (the least and greatest, and the
+        # largest subnormal) under every biased exponent; 2^52 above the least
+        # normal exponent is an irregular gap, whose lower bound is cp - 2^h
+        exponents = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+        bits = exponents[:, None] | np.array([0, 2**52 - 1], dtype=np.uint64)
+        values = bits.reshape(-1).view(np.float64)
+        assert_matches_repr(values)
+        assert_matches_repr(-values)
+
+    def test_every_irregular_gap(self):
+        powers = np.ldexp(1.0, np.arange(-1021, 1024))
+        assert (np.frexp(powers)[0] == 0.5).all() and powers.size == 2045
+        assert_matches_repr(with_neighbours(powers))

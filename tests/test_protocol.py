@@ -732,6 +732,101 @@ class TestHeadTailBoundary:
         assert np.array_equal(trace.final_values(), full[-1])
 
 
+def jump_config(e: int, rounds: int, low: float = -100.0):
+    """A K_5 whose malicious agent 4 shows 100 until round e and `low` from
+    it on: with -100 its value falls from above every other to below them at
+    round e, which reorders the slots, while each legitimate median stays
+    inside [1, 4]."""
+    return SimulationConfig(
+        complete_graph(5), CommunityLayout([range(5)], [4]),
+        PresetValues((1.0, 2.0, 3.0, 4.0, 0.0)), RoundScript((100.0,) * e + (low,)),
+        0.5, rounds, 0)
+
+
+def pulse_config(e: int, rounds: int):
+    """A K_3 whose legitimate agents 0 and 1 start at 5 and whose malicious
+    agent 2 shows 5 until round e and 0 from it on: the first isolation
+    event is agent 0's median 2.5 at round e."""
+    return SimulationConfig(
+        complete_graph(3), CommunityLayout([range(3)], [2]),
+        PresetValues((5.0, 5.0, 0.0)), RoundScript((5.0,) * e + (0.0,)), 0.5, rounds, 0)
+
+
+class TestRoundBlocks:
+    """run() keeps a block of rounds' medians and slot-order rows, and sets
+    their isolation flags and gathers the rows into agent order once per
+    block.  Events just before, on and just after a block boundary leave it
+    bitwise equal to step(), with the reports of the median oracle."""
+
+    def assert_blocks_match_step(self, cfg, blocks, monkeypatch):
+        want = run(cfg)  # at the default block size
+        assert_reports_match_medians(want)
+        for block in blocks:
+            monkeypatch.setattr("commca.protocol._ROUND_BLOCK", block)
+            trace = assert_run_matches_step(cfg)
+            assert trace.isolation == want.isolation
+            assert (trace.last_distinct, trace.repeats) == (want.last_distinct, want.repeats)
+        return want
+
+    def test_fixed_point_around_a_block_boundary(self, monkeypatch):
+        # the star repeats its rows from round k: blocks of k - 1, k and k + 1
+        # rounds put that round just after, on and just before a boundary
+        base = boundary_configs()["star"]
+        k = fixed_point(base)
+        for rounds in (k - 1, k, k + 1):
+            trace = self.assert_blocks_match_step(
+                replace(base, rounds=rounds), (1, 2, 3, k - 1, k, k + 1), monkeypatch)
+            assert trace.last_distinct == min(rounds, k - 1)
+
+    @pytest.mark.parametrize("e", [5, 6, 7])
+    def test_first_isolation_event_around_a_block_boundary(self, e, monkeypatch):
+        # round e = 5, 6, 7 is the last, first and last round of a 2-round
+        # block, and the last, first and middle round of a 3-round block
+        trace = self.assert_blocks_match_step(pulse_config(e, 3 * e), (1, 2, 3, e, e + 1),
+                                              monkeypatch)
+        assert trace.isolation[0].first == (e, 0, 2.5)
+
+    @pytest.mark.parametrize("e", [5, 6, 7])
+    def test_reorder_around_a_block_boundary(self, e, monkeypatch):
+        cfg = jump_config(e, 3 * e)
+        trace = self.assert_blocks_match_step(cfg, (1, 2, 3, e, e + 1), monkeypatch)
+        assert trace.isolation[0].ok
+        # against a script that holds 100, the legitimate values agree up to
+        # round e and first differ in round e + 1, from round e's medians
+        held = self.assert_blocks_match_step(jump_config(e, 3 * e, low=100.0), (2, 3),
+                                             monkeypatch)
+        assert np.array_equal(trace.values[: e + 1, :4], held.values[: e + 1, :4])
+        assert not np.array_equal(trace.values[e + 1, :4], held.values[e + 1, :4])
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_buffer_doubling_around_a_block_boundary(self, block, monkeypatch):
+        # first chunks of `chunk` rows double when a flush needs row `chunk`:
+        # at a block boundary, one round before it and one after
+        base = boundary_configs()["scripted"]
+        n, k = base.graph.n, fixed_point(base)
+        cfg = replace(base, rounds=k + 20)
+        want = run(cfg)
+        monkeypatch.setattr("commca.protocol._ROUND_BLOCK", block)
+        for chunk in (2, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1, k, k + 1):
+            monkeypatch.setattr("commca.protocol._CHUNK_CELLS", max(chunk, 2) * n)
+            trace = assert_run_matches_step(cfg)
+            assert np.array_equal(trace.head.view(np.uint64), want.head.view(np.uint64))
+            assert trace.isolation == want.isolation
+            assert_trace_matches_reference(trace)
+
+    def test_runs_shorter_than_one_block(self, monkeypatch):
+        # a block never holds more rounds than the run: 1 and 2 rounds under
+        # blocks of 3, 5 rounds under the default, and a fixed point at round
+        # 1 inside a run of 40
+        still = SimulationConfig(complete_graph(5), CommunityLayout([range(5)]),
+                                 PresetValues((3.0,) * 5), None, 0.5, 40, 0)
+        for cfg, block in ((star_config(), 64), (replace(star_config(), rounds=1), 3),
+                           (replace(star_config(), rounds=2), 3),
+                           (pulse_config(1, 2), 3), (still, 3)):
+            self.assert_blocks_match_step(cfg, (block,), monkeypatch)
+        assert (run(still).last_distinct, run(still).repeats) == (0, 40)
+
+
 class TestRun:
     def test_row_count_and_initial_row(self):
         cfg = star_config()
@@ -760,13 +855,16 @@ class TestRun:
         # index and a 2-byte rank per entry of the padded rows of widths 4, 2,
         # 2, 2 (degrees 3, 1, 1, 1); per row, 16 bytes of middle-entry places,
         # 4 of their ranks, 16 of their slots, 16 of their values, an 8-byte
-        # median, 16 bytes of interval bounds and a 1-byte flag; per slot (4
+        # update term, 16 bytes of interval bounds, and an 8-byte median and a
+        # 1-byte flag for each of the 5 rounds of a block; the block's 5 rows
+        # of 4 float64 values and the newest row before them; per slot (4
         # agents and 2 pads), an 8-byte place in the order, a 2-byte rank, an
         # 8-byte owner, an 8-byte value in the order and a 1-byte flag; and an
         # 8-byte slot per entry of the 6 CSR entries
         need = (6 * 4 * 8 + 5 * 4 + (4 + 2 + 2 + 2) * (8 + 2)
-                + 4 * (16 + 4 + 16 + 16 + 8 + 16 + 1) + 6 * (8 + 2 + 8 + 8 + 1) + 6 * 8)
-        assert need == 830
+                + 4 * (16 + 4 + 16 + 16 + 8 + 16 + 5 * 9) + 6 * 4 * 8
+                + 6 * (8 + 2 + 8 + 8 + 1) + 6 * 8)
+        assert need == 1198
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match="5-round trace of 4 agents"):
             run(star_config())
@@ -776,15 +874,15 @@ class TestRun:
     def test_memory_guard_counts_each_row_at_its_own_width(self, monkeypatch):
         # a 1000-leaf star: the hub's row is 1024 wide and every leaf's 2, so
         # the padded rows take 3024 entries, not 1001 rows of the hub's width;
-        # each entry holds an index and a 2-byte rank, each row 77 bytes and
-        # each of the 1003 slots 27 (as in the test above), and each of the
-        # 2000 CSR entries a slot
+        # each entry holds an index and a 2-byte rank, each row 121 bytes, the
+        # block 6 rows, each of the 1003 slots 27 (as in the test above), and
+        # each of the 2000 CSR entries a slot
         g = Graph(1001, [(0, v) for v in range(1, 1001)])
         cfg = SimulationConfig(g, CommunityLayout([range(1001)]),
                                PresetValues(tuple(float(u % 7) for u in range(1001))), None, 0.5, 5, 0)
-        need = (6 * 1001 * 8 + 5 * 1001 + (1024 + 1000 * 2) * (8 + 2) + 1001 * 77 + 1003 * 27
-                + 2000 * 8)
-        assert need == 203_451
+        need = (6 * 1001 * 8 + 5 * 1001 + (1024 + 1000 * 2) * (8 + 2) + 1001 * 121
+                + 6 * 1001 * 8 + 1003 * 27 + 2000 * 8)
+        assert need == 295_543
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
             run(cfg)

@@ -202,11 +202,16 @@ def test_builders_refuse_a_graph_that_misses_a_claim(build, edge, community, mon
 @pytest.mark.parametrize("edge", [(1, 2), (124, 125)])
 def test_example1_refuses_a_block_edge_dropped_past_the_cap(edge, monkeypatch):
     # both blocks exceed the enumeration cap, and a complete block less one
-    # edge is not decided by its degree bound, so the community check itself
-    # refuses before any claim is compared
+    # edge is not decided by its degree bound, so the community check would
+    # enumerate; the builder refuses the claim and names the community
     _drop_block_edge(monkeypatch, edge)
-    with pytest.raises(EnumerationCapExceeded):
+    community, size = (1, 123) if edge == (1, 2) else (2, 35)
+    with pytest.raises(RuntimeError, match=(
+            f"^builder self-certification failed: community {community} .* but its check "
+            f"would enumerate {size} agents, past the cap of 22$")) as caught:
         example1()
+    assert not isinstance(caught.value, EnumerationCapExceeded)
+    assert isinstance(caught.value.__cause__, EnumerationCapExceeded)
 
 
 @pytest.mark.parametrize("build,sizes", [(example1, [158]), (example2, [25, 9]),

@@ -78,18 +78,18 @@ def _build_config(args):
 
 
 def _cmd_check(args) -> int:
-    cap = _resolve_cap(args.force)
-    g = parse_graph(_read_document(args.graph))
     modes = [m for m in (args.rs, args.r, args.community) if m is not None]
     if len(modes) != 1:
         raise ConfigError(["pass exactly one of --rs, --r, --community"])
+    if args.community is not None and args.communities is None:
+        raise ConfigError(["--community needs a --communities file"])
+    cap = _resolve_cap(args.force)
+    g = parse_graph(_read_document(args.graph))
     if args.rs is not None or args.r is not None:
         witness = (is_rs_excess_robust(g, *args.rs, cap=cap) if args.rs is not None
                    else is_r_excess_robust(g, args.r, cap=cap))
         sys.stdout.write(format_witness(witness))
         return 0 if witness.robust else 1
-    if args.communities is None:
-        raise ConfigError(["--community needs a --communities file"])
     layout = parse_communities(_read_document(args.communities))
     try:
         layout.require_covering(g)

@@ -29,11 +29,11 @@ its medians are one gather from those slots; only a round whose order
 changed sorts the slots and the rank rows again.  A round keeps only that
 order check, the update and the fixed-point test: its medians go into a
 block buffer of up to _ROUND_BLOCK rounds and its row is copied as the
-slots hold it.  Once per block, three whole-block comparisons set a bool
-flag per agent and round saying whether its median left its community's
-initial interval, and one gather puts the block's rows in agent-id order;
-the newest row stays in slot order for the next fixed-point test.
-Isolation reports are read off those flags after the last round.
+slots hold it.  Once per block, one gather puts the block's rows in
+agent-id order (the newest stays in slot order for the next fixed-point
+test), and whole-block comparisons flag each median outside its
+community's initial interval; the flush folds the flags into per-agent
+event counts and first events, whose median is the one the round used.
 A round depends only on the legitimate values before it and on what the
 script shows, so once the script holds its last entry, a row that repeats
 its predecessor bit for bit repeats in every later round: run() stops there
@@ -77,8 +77,8 @@ MAX_MAGNITUDE = 1e300
 # temporary arrays stays near 200 KB however long the trace is.
 _BLOCK_CELLS = 4096
 
-# Rounds whose medians and rows run() keeps before it sets their isolation
-# flags and gathers the rows into agent order.
+# Rounds whose medians and rows run() keeps before it folds their isolation
+# flags into its event counts and gathers the rows into agent order.
 _ROUND_BLOCK = 64
 
 # Float64 cells (1 MB) in run()'s first chunk of trace rows, which doubles
@@ -457,19 +457,20 @@ def run(config: SimulationConfig) -> Trace:
     round's medians go into row j of a block buffer of up to _ROUND_BLOCK
     rounds, the update multiplies them into a separate buffer, and the
     round's trace row is the contiguous p[:n] in slot order.  Once per block
-    (a flush), three whole-block comparisons set one byte (a bool flag) per
-    median saying whether it left its community's initial interval, and one
-    gather puts the block's rows in agent-id order.  The newest row stays in
-    slot order, so the fixed-point test always compares two rows in the same
-    order, and it runs before a flush converts the row before it.  The
-    isolation reports are read off the flags after the last round.
+    (a flush), one gather puts the block's rows in agent-id order, and
+    whole-block comparisons flag each median that left its community's
+    initial interval.  The flush adds each agent's flags to its event count
+    and keeps its first flagged round with that round's median, read from
+    the block buffer the update used.  The newest row stays in slot order,
+    so the fixed-point test always compares two rows in the same order, and
+    it runs before a flush converts the row before it.
     From the first round at or after the script's last entry whose new row
     equals the row before it bit for bit, every later round repeats it, so
     the loop stops there and counts that round's flags once for each later
-    round.  The rows and flags live in buffers that start at a chunk of
-    about 1 MB and double when a flush does not fit, so memory grows with
-    the rounds that change, not with the round count; the trace keeps the
-    rows up to the last distinct one and how often that one repeats.
+    round.  The rows, the only buffer that grows with the rounds, start at
+    a chunk of about 1 MB and double when a flush does not fit, so memory
+    grows with the rounds that change, not with the round count; the trace
+    keeps the rows up to the last distinct one and how often it repeats.
     """
     config.validate()
     g, layout = config.graph, config.layout
@@ -514,15 +515,15 @@ def run(config: SimulationConfig) -> Trace:
     S = n + len(pairs) + 2
     rank_type = np.dtype(np.uint16 if S <= 1 << 16 else np.uint32)
     # The worst case, checked before any round, as a run need not reach a fixed
-    # point: the trace and a bool flag per legitimate agent and round; an index
-    # and a rank per padded row entry; per row, the places, ranks, slots and
-    # values of its middle entries, its update term, its interval bounds, and
-    # a median and a flag for each round of a block; a block's rows and the
+    # point: the trace; an index and a rank per padded row entry; per row, the
+    # places, ranks, slots and values of its middle entries, its update term,
+    # interval bounds, event count and first event's round and median, and a
+    # median and two flags for each round of a block; a block's rows and the
     # newest row before them; per slot, its place in the order, rank, owner,
     # value in the order and a flag; and source's slot per CSR entry.
     rb = rank_type.itemsize
     B = min(_ROUND_BLOCK, T)
-    if (8 * (T + 1) * n + L * T + 2 * (8 + rb) * int(half.sum()) + (72 + 2 * rb + 9 * B) * L
+    if (8 * (T + 1) * n + 2 * (8 + rb) * int(half.sum()) + (96 + 2 * rb + 10 * B) * L
             + 8 * (B + 1) * n + (25 + rb) * S + 8 * g.indices.size > graph.physical_memory()):
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
     p = np.concatenate([x0[legit_arr], np.full(n - L, script[0]),
@@ -582,19 +583,18 @@ def run(config: SimulationConfig) -> Trace:
         ranked.take(pick, out=middle, mode="clip")
         order.take(middle, out=src, mode="clip")
 
-    # rows[t] is the trace row of round t and outside[t, k] says whether
-    # legit_arr[k]'s median at round t left its community's interval.  Both
-    # hold `size` rounds and double in place (a realloc) when a block does
-    # not fit, so no view of either may outlive a flush.  A block of B rounds
-    # keeps round r0 + j's medians in meds[j] and its new row, in slot order,
-    # in recent[j + 1]; recent[0] holds row r0, the newest row of the block
-    # before.  A flush sets the block's flags with three whole-block
-    # comparisons and gathers its rows into agent order, all but the newest,
-    # which stays in slot order for the next fixed-point test.
+    # rows[t] is the trace row of round t; it holds `size` rounds and doubles
+    # in place (a realloc) when a block does not fit, so no view of it may
+    # outlive a flush.  A block of B rounds keeps round r0 + j's medians in
+    # meds[j] and its new row, in slot order, in recent[j + 1]; recent[0]
+    # holds row r0, the newest row of the block before.  A flush puts all
+    # but the newest row in agent order and sets flags[j, k] if legit_arr[k]'s
+    # median at round r0 + j left its interval; events[k] counts the flags,
+    # first_round[k] (T while none) and first_median[k] keep the first.
     size = min(T + 1, max(2, _CHUNK_CELLS // max(n, 1)))
     rows = np.empty((size, n), dtype=np.float64)
-    outside = np.empty((size, L), dtype=bool)
-    meds, flags = np.empty((B, L)), np.empty((B, L), dtype=bool)
+    meds, flags, above = np.empty((B, L)), np.empty((B, L), bool), np.empty((B, L), bool)
+    events, first_round, first_median = np.zeros(L, np.int64), np.full(L, T), np.empty(L)
     recent = np.empty((B + 1, n))
     recent[0] = x0[np.concatenate([legit_arr, mal_arr])]  # row 0 in slot order
     scaled = np.empty(L)
@@ -612,13 +612,17 @@ def run(config: SimulationConfig) -> Trace:
         while end > size:
             size = min(T + 1, 2 * size)
             rows.resize((size, n), refcheck=False)
-            outside.resize((size, L), refcheck=False)
         recent[: count + newest].take(slot, axis=1, out=rows[r0:end], mode="clip")
-        np.less(meds[:count], low, out=outside[r0 : r0 + count])
-        np.greater(meds[:count], high, out=flags[:count])
-        outside[r0 : r0 + count] |= flags[:count]
+        out = np.less(meds[:count], low, out=flags[:count])
+        out |= np.greater(meds[:count], high, out=above[:count])
+        if not out.any():  # no flag, or no round
+            return
+        events[:] += out.sum(axis=0)
+        fresh = np.flatnonzero((first_round == T) & out.any(axis=0))
+        at = out[:, fresh].argmax(axis=0)  # each such agent's earliest flagged round
+        first_round[fresh], first_median[fresh] = r0 + at, meds[at, fresh]
 
-    kept = T  # rows of outside computed; the last one holds in every later round
+    kept = T  # rounds computed; the last one repeats in every later round
     r0 = 0  # the block's first round
     reorder()
     for t in range(T):
@@ -655,22 +659,17 @@ def run(config: SimulationConfig) -> Trace:
             recent[0] = new
             r0 = t + 1
     flush(r0, kept - r0, True)
+    # round kept - 1's flags hold in each of the T - kept later rounds
+    events[:] += (T - kept) * flags[kept - 1 - r0]
 
     reports = []
     for i, own in enumerate(members):
-        cols = slot[own]  # a legitimate agent's slot is its column in outside
-        bad = outside[:kept, cols]
+        cols = slot[own]  # a legitimate agent's slot is its column in meds
         first = None
-        if bad.any():  # earliest round, then lowest id
-            t = int(np.argmax(bad.any(axis=1)))
-            j = int(np.argmax(bad[t]))
-            x[:] = rows[t, legit_arr]
-            p[L:n] = script[min(t, held)]
-            reorder()
-            a, b = p[src[cols[j]]]
-            first = (t, int(own[j]), float((b + a) / 2.0))
-        repeats = (T - kept) * int(bad[-1].sum())
-        reports.append(IsolationReport(i, int(bad.sum()) + repeats, first))
+        if events[cols].any():  # earliest round, then lowest id
+            c = cols[first_round[cols].argmin()]
+            first = (int(first_round[c]), int(legit_arr[c]), float(first_median[c]))
+        reports.append(IsolationReport(i, int(events[cols].sum()), first))
     rows.resize((kept + 1, n), refcheck=False)  # drop the unused capacity
     rows.setflags(write=False)
     return Trace(rows, config, tuple(intervals), tuple(reports), T - kept)

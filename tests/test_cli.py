@@ -102,14 +102,16 @@ class TestCheckRobustness:
         assert main(["check", path, "--r", "2"]) == 0
 
     def test_exactly_one_mode_required(self, tmp_path, capsys):
-        path = write_graph(tmp_path, complete_graph(3))
-        assert main(["check", path, "--rs", "1", "1", "--r", "0"]) == 2
-        assert main(["check", path]) == 2
+        # a usage error, reported before the graph is read: a missing file too
+        for path in (write_graph(tmp_path, complete_graph(3)), str(tmp_path / "missing.txt")):
+            for argv in (["--rs", "1", "1", "--r", "0"], []):
+                assert main(["check", path, *argv]) == 2
+                assert capsys.readouterr() == ("", "error: pass exactly one of --rs, --r, --community\n")
 
     def test_community_mode_needs_communities_file(self, tmp_path, capsys):
-        path = write_graph(tmp_path, complete_graph(9))
-        assert main(["check", path, "--community", "2"]) == 2
-        assert "--communities" in capsys.readouterr().err
+        for path in (write_graph(tmp_path, complete_graph(9)), str(tmp_path / "missing.txt")):
+            assert main(["check", path, "--community", "2"]) == 2
+            assert capsys.readouterr() == ("", "error: --community needs a --communities file\n")
 
 
 class TestCheckCommunities:

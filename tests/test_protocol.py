@@ -753,10 +753,11 @@ def pulse_config(e: int, rounds: int):
 
 
 class TestRoundBlocks:
-    """run() keeps a block of rounds' medians and slot-order rows, and sets
-    their isolation flags and gathers the rows into agent order once per
-    block.  Events just before, on and just after a block boundary leave it
-    bitwise equal to step(), with the reports of the median oracle."""
+    """run() keeps a block of rounds' medians and slot-order rows, and once
+    per block gathers the rows into agent order and folds the block's
+    isolation flags into each agent's event count and first event.  Events
+    just before, on and just after a block boundary leave it bitwise equal
+    to step(), with the reports of the median oracle."""
 
     def assert_blocks_match_step(self, cfg, blocks, monkeypatch):
         want = run(cfg)  # at the default block size
@@ -769,14 +770,20 @@ class TestRoundBlocks:
         return want
 
     def test_fixed_point_around_a_block_boundary(self, monkeypatch):
-        # the star repeats its rows from round k: blocks of k - 1, k and k + 1
-        # rounds put that round just after, on and just before a boundary
-        base = boundary_configs()["star"]
-        k = fixed_point(base)
-        for rounds in (k - 1, k, k + 1):
-            trace = self.assert_blocks_match_step(
-                replace(base, rounds=rounds), (1, 2, 3, k - 1, k, k + 1), monkeypatch)
-            assert trace.last_distinct == min(rounds, k - 1)
+        # each run repeats its rows from round k: blocks of k - 1, k and k + 1
+        # rounds put that round just after, on and just before a boundary.  A
+        # run of a multiple of 6 rounds that ends before round k ends on a
+        # boundary of blocks of 1, 2 and 3 rounds, so its last flush holds no
+        # round.  Both legitimate agents of the pulled pair are outside their
+        # interval in every round, the repeats too
+        for name, base in boundary_configs().items():
+            k = fixed_point(base)
+            for rounds in (6 * ((k - 1) // 6), k - 1, k, k + 1):
+                trace = self.assert_blocks_match_step(
+                    replace(base, rounds=rounds), (1, 2, 3, k - 1, k, k + 1), monkeypatch)
+                assert trace.last_distinct == min(rounds, k - 1)
+                if name == "pulled":
+                    assert trace.isolation[0].violations == 2 * rounds
 
     @pytest.mark.parametrize("e", [5, 6, 7])
     def test_first_isolation_event_around_a_block_boundary(self, e, monkeypatch):
@@ -851,20 +858,21 @@ class TestRun:
         assert trace.final_values().shape == (4,)
 
     def test_trace_beyond_physical_memory_refused_up_front(self, monkeypatch):
-        # 6 rows of 4 float64 values; one flag per round and agent; an 8-byte
-        # index and a 2-byte rank per entry of the padded rows of widths 4, 2,
-        # 2, 2 (degrees 3, 1, 1, 1); per row, 16 bytes of middle-entry places,
-        # 4 of their ranks, 16 of their slots, 16 of their values, an 8-byte
-        # update term, 16 bytes of interval bounds, and an 8-byte median and a
-        # 1-byte flag for each of the 5 rounds of a block; the block's 5 rows
-        # of 4 float64 values and the newest row before them; per slot (4
-        # agents and 2 pads), an 8-byte place in the order, a 2-byte rank, an
-        # 8-byte owner, an 8-byte value in the order and a 1-byte flag; and an
-        # 8-byte slot per entry of the 6 CSR entries
-        need = (6 * 4 * 8 + 5 * 4 + (4 + 2 + 2 + 2) * (8 + 2)
-                + 4 * (16 + 4 + 16 + 16 + 8 + 16 + 5 * 9) + 6 * 4 * 8
+        # 6 rows of 4 float64 values; an 8-byte index and a 2-byte rank per
+        # entry of the padded rows of widths 4, 2, 2, 2 (degrees 3, 1, 1, 1);
+        # per row, 16 bytes of middle-entry places, 4 of their ranks, 16 of
+        # their slots, 16 of their values, an 8-byte update term, 16 bytes of
+        # interval bounds, an 8-byte event count, an 8-byte first event round
+        # and its 8-byte median, and an 8-byte median and two 1-byte flags for
+        # each of the 5 rounds of a block; the block's 5 rows of 4 float64
+        # values and the newest row before them; per slot (4 agents and 2
+        # pads), an 8-byte place in the order, a 2-byte rank, an 8-byte owner,
+        # an 8-byte value in the order and a 1-byte flag; and an 8-byte slot
+        # per entry of the 6 CSR entries
+        need = (6 * 4 * 8 + (4 + 2 + 2 + 2) * (8 + 2)
+                + 4 * (16 + 4 + 16 + 16 + 8 + 16 + 8 + 8 + 8 + 5 * 10) + 6 * 4 * 8
                 + 6 * (8 + 2 + 8 + 8 + 1) + 6 * 8)
-        assert need == 1198
+        assert need == 1294
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match="5-round trace of 4 agents"):
             run(star_config())
@@ -874,20 +882,37 @@ class TestRun:
     def test_memory_guard_counts_each_row_at_its_own_width(self, monkeypatch):
         # a 1000-leaf star: the hub's row is 1024 wide and every leaf's 2, so
         # the padded rows take 3024 entries, not 1001 rows of the hub's width;
-        # each entry holds an index and a 2-byte rank, each row 121 bytes, the
+        # each entry holds an index and a 2-byte rank, each row 150 bytes, the
         # block 6 rows, each of the 1003 slots 27 (as in the test above), and
         # each of the 2000 CSR entries a slot
         g = Graph(1001, [(0, v) for v in range(1, 1001)])
         cfg = SimulationConfig(g, CommunityLayout([range(1001)]),
                                PresetValues(tuple(float(u % 7) for u in range(1001))), None, 0.5, 5, 0)
-        need = (6 * 1001 * 8 + 5 * 1001 + (1024 + 1000 * 2) * (8 + 2) + 1001 * 121
+        need = (6 * 1001 * 8 + (1024 + 1000 * 2) * (8 + 2) + 1001 * 150
                 + 6 * 1001 * 8 + 1003 * 27 + 2000 * 8)
-        assert need == 295_543
+        assert need == 319_567
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
             run(cfg)
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need)
         assert run(cfg).rounds == 5
+
+    def test_memory_guard_grows_by_one_trace_row_per_round(self, monkeypatch):
+        # from 64 rounds on, a block holds 64 rounds whatever the round
+        # count, so each more round adds only its trace row of 4 float64
+        # values to the star's terms itemised two tests above: 65 trace
+        # rows, 64-round blocks and 65 block rows at 64 rounds
+        cfg = replace(star_config(), rounds=64)
+        need = (65 * 4 * 8 + 10 * 10 + 4 * (100 + 64 * 10) + 65 * 4 * 8
+                + 6 * 27 + 6 * 8)
+        assert need == 7430
+        for rounds, bound in ((64, need), (65, need + 8 * 4), (200, need + 136 * 8 * 4)):
+            cfg = replace(cfg, rounds=rounds)
+            monkeypatch.setattr("commca.graph.physical_memory", lambda: bound - 1)
+            with pytest.raises(MemoryError, match=f"{rounds}-round trace of 4 agents"):
+                run(cfg)
+            monkeypatch.setattr("commca.graph.physical_memory", lambda: bound)
+            assert run(cfg).rounds == rounds
 
 
 class TestMagnitudeBound:

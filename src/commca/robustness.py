@@ -435,7 +435,8 @@ def verify_reachability_preservation(
     property holds for every member set, and the result reports the subsets
     the proof covers: all 2^m - 1 non-empty ones of m members in exhaustive
     mode, `samples` of them in sampled mode.  `ok` is always True, and
-    `seed` is accepted for compatibility and draws nothing.
+    `seed` draws nothing.  Kept for acceptance criterion 6 and the benchmark
+    tracer; the CLI no longer calls it, and prints these numbers from is_community.
     """
     degrees = g.external_degrees(members)
     if mode == "exhaustive":

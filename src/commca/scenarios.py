@@ -109,7 +109,7 @@ class InitializerSpec:
     communities: tuple[NormalDraw | ExplicitValues, ...]
     malicious_value: float | None = None
 
-    def problems(self, graph: Graph, layout: CommunityLayout) -> list[str]:
+    def problems(self, layout: CommunityLayout) -> list[str]:
         out = []
         if len(self.communities) != len(layout):
             out.append(
@@ -129,7 +129,7 @@ class InitializerSpec:
         return out
 
     def initial_values(self, graph: Graph, layout: CommunityLayout, seed: int) -> np.ndarray:
-        bad = self.problems(graph, layout)
+        bad = self.problems(layout)
         if bad:
             raise ValueError("; ".join(bad))
         layout.require_covering(graph)
@@ -511,7 +511,7 @@ def read_scenario(text: str) -> tuple[SimulationConfig, list[str]]:
     init = InitializerSpec(
         tuple(entries[i + 1] for i in range(len(layout))), malicious_value
     )
-    problems.extend(init.problems(g, layout))
+    problems.extend(init.problems(layout))
 
     if "adversary" in sections:
         adversary: AdversaryStrategy | None = _parse_adversary_section(*sections["adversary"])

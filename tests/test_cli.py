@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,12 +26,16 @@ from commca import (
     format_communities,
     format_graph,
     format_scenario,
+    is_community,
     load_scenario,
     parse_graph,
+    verify_reachability_preservation,
 )
 from commca.cli import build_parser, main
 from commca.graph import CommunityLayout
-from commca.scenarios import example2, example3
+from commca.scenarios import EXAMPLES, example1, example2, example3
+
+from test_acceptance import embedded_community_cases
 
 
 def write_graph(tmp_path, g, name="graph.txt"):
@@ -43,6 +48,19 @@ def write_communities(tmp_path, layout, name="communities.txt"):
     path = tmp_path / name
     path.write_text(format_communities(layout))
     return str(path)
+
+
+def count_external_degree_passes(monkeypatch):
+    """The member sets Graph.external_degrees is called with, in call order."""
+    passes = []
+    external_degrees = Graph.external_degrees
+
+    def counted(self, members):
+        passes.append(frozenset(members))
+        return external_degrees(self, members)
+
+    monkeypatch.setattr(Graph, "external_degrees", counted)
+    return passes
 
 
 def split_graph():
@@ -169,6 +187,16 @@ class TestCheckCommunities:
         cpath = write_communities(tmp_path, CommunityLayout([{0, 1}]))
         rc = main(["check", gpath, "--communities", cpath, "--community", "0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("example", sorted(EXAMPLES))
+    def test_each_community_takes_one_external_degree_pass(self, tmp_path, capsys,
+                                                          monkeypatch, example):
+        cfg = EXAMPLES[example]()
+        gpath = write_graph(tmp_path, cfg.graph)
+        cpath = write_communities(tmp_path, cfg.layout)
+        passes = count_external_degree_passes(monkeypatch)
+        assert main(["check", gpath, "--communities", cpath, "--community", "1"]) in (0, 1)
+        assert passes == list(cfg.layout.subsets)
 
 
 class TestCheckErrors:
@@ -598,6 +626,58 @@ class TestVerifyProp1:
         argv = ["verify-prop1", "--example", "3", "--mode", mode, "--samples", samples]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: sample count must be positive\n")
+
+    @pytest.mark.parametrize("source, passes", [
+        ("example 1", 4), ("example 2", 4), ("document", 4), ("document without bounds", 2),
+    ])
+    def test_external_degree_passes(self, tmp_path, capsys, monkeypatch, source, passes):
+        # one pass per community in the CLI's community check, plus one in the
+        # builder's (an example) or in the reader's check of each declared
+        # bound (a document); the preservation line reuses the CLI's check
+        doc = tmp_path / "doc.txt"
+        text = format_scenario(example1())
+        if source == "document without bounds":
+            text = "".join(line for line in text.splitlines(True)
+                           if not line.startswith("external "))
+        doc.write_text(text)
+        argv = (["--example", source[-1]] if source.startswith("example")
+                else ["--scenario", str(doc)])
+        counted = count_external_degree_passes(monkeypatch)
+        assert main(["verify-prop1", *argv]) == 0
+        assert len(counted) == passes
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_printed_numbers_equal_the_preservation_function(self, tmp_path, capsys, mode):
+        # every community of examples 1-3 and of criterion 6's embedded cases;
+        # a scenario admits no legitimate agent without neighbours, so the
+        # embedded cases with one stay out of the command's runs
+        runs = [(["--example", str(n)], EXAMPLES[n]()) for n in sorted(EXAMPLES)]
+        init = InitializerSpec((NormalDraw(0.0, 1.0),) * 2)
+        for j, (g, members) in enumerate(embedded_community_cases()):
+            if np.diff(g.indptr).min() == 0:
+                continue
+            cfg = SimulationConfig(g, CommunityLayout([members, set(range(g.n)) - members]),
+                                   init, None, 0.5, 1, 0)
+            doc = tmp_path / f"case{j}.txt"
+            doc.write_text(format_scenario(cfg))
+            runs.append((["--scenario", str(doc)], cfg))
+        certified = 0
+        for argv, cfg in runs:
+            assert main(["verify-prop1", *argv, "--rounds", "1", "--mode", mode,
+                         "--samples", "300"]) == 0
+            printed = {int(i): (int(count), kind, int(threshold)) for i, count, kind, threshold
+                       in re.findall(r"^community (\d+): preservation ok over (\d+) subsets "
+                                     r"\((\w+), threshold (\d+)\)$",
+                                     capsys.readouterr().out, re.MULTILINE)}
+            for i, subset in enumerate(cfg.layout.subsets):
+                check = is_community(cfg.graph, subset, cfg.layout.malicious_count(i))
+                want = verify_reachability_preservation(cfg.graph, subset, mode, 300)
+                assert check.external_degree == want.threshold
+                if check.is_community:
+                    certified += 1
+                    assert printed.pop(i + 1) == (want.subsets_checked, mode, want.threshold)
+            assert printed == {}
+        assert certified == 19  # 4 in the examples, 15 in the embedded cases' layouts
 
     def test_uncertified_isolation_is_informational(self, tmp_path, capsys):
         doc = tmp_path / "doc.txt"

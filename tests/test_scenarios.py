@@ -305,22 +305,20 @@ class TestInitializerSpec:
         g = complete_graph(3)
         layout = CommunityLayout([range(3)])
         spec = InitializerSpec((ExplicitValues((1.0,)),))
-        problems = spec.problems(g, layout)
+        problems = spec.problems(layout)
         assert len(problems) == 1 and "explicit values" in problems[0]
         with pytest.raises(ValueError):
             spec.initial_values(g, layout, 0)
 
     def test_malicious_without_constant_reported(self):
-        g = complete_graph(3)
         layout = CommunityLayout([range(3)], malicious={2})
         spec = InitializerSpec((NormalDraw(0.0, 1.0),))
-        assert any("malicious" in p for p in spec.problems(g, layout))
+        assert any("malicious" in p for p in spec.problems(layout))
 
     def test_entry_count_mismatch_reported(self):
-        g = complete_graph(3)
         layout = CommunityLayout([{0, 1}, {2}])
         spec = InitializerSpec((NormalDraw(0.0, 1.0),))
-        assert any("init entries" in p for p in spec.problems(g, layout))
+        assert any("init entries" in p for p in spec.problems(layout))
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):

@@ -16,24 +16,24 @@ run() tabulates the whole malicious schedule once.  The community predicate
 guarantees isolation against any presentation, but agreement only when each
 malicious agent shows all its neighbors one value: a table showing 1.0 to two
 legitimate agents of a certified K_6 and 0.0 to the other two splits it.
-Each of run()'s rounds is the update rule alone.  Every value a round reads
-has a slot: the legitimate values (in class order), what the malicious
-agents show, one per distinct fixed override, and two infinite pads.  A
-cached order sorts the slots as step()'s sorted() sorts a row, tied zeros
-by agent id (-0.0 == 0.0, yet their bits differ).  Each legitimate agent's
-neighbor row, padded to the even power-of-two width 2h of its class, holds
-its neighbors' ranks in that order; sorted, it has its median at the slots
-of columns h - 1 and h, or h - 1 twice at odd degree, as (a + a) / 2 == a
-within MAX_MAGNITUDE.  While the cached order still sorts a round's values,
-its medians are one gather from those slots; only a round whose order
-changed sorts the slots and the rank rows again.  A round keeps only that
-order check, the update and the fixed-point test: its medians go into a
-block buffer of up to _ROUND_BLOCK rounds and its row is copied as the
-slots hold it.  Once per block, one gather puts the block's rows in
-agent-id order (the newest stays in slot order for the next fixed-point
-test), and whole-block comparisons flag each median outside its
-community's initial interval; the flush folds the flags into per-agent
-event counts and first events, whose median is the one the round used.
+Each of run()'s rounds is the update rule alone.  Every value a round
+reads is in one vector: agent u's value at its id (its state, or what it
+shows if malicious), then one value per distinct fixed override and a +inf
+pad.  A cached order sorts the vector as step()'s sorted() sorts a row, tied
+zeros by agent id (-0.0 == 0.0, yet their bits differ).  Each legitimate
+agent's neighbor row, padded on the right to the power-of-two width of its
+class, holds its neighbors' ranks in that order; sorted, a row of degree d
+has its median at columns (d - 1) // 2 and d // 2, one column twice at odd
+degree, as (a + a) / 2 == a within MAX_MAGNITUDE.  While the cached order
+still sorts a round's values, its medians are one gather from those
+columns' places; only a round whose order changed sorts the vector and the
+rank rows again.  A round keeps only that order check, the update, the
+write of what the malicious agents show, the copy of its agents' values as
+its trace row and the fixed-point test; its medians go into a block buffer
+of up to _ROUND_BLOCK rounds.  Once per block, whole-block comparisons flag
+each median outside its community's initial interval and fold the flags
+into per-agent event counts and first events, whose median is the one the
+round used.
 A round depends only on the legitimate values before it and on what the
 script shows, so once the script holds its last entry, a row that repeats
 its predecessor bit for bit repeats in every later round: run() stops there
@@ -77,12 +77,12 @@ MAX_MAGNITUDE = 1e300
 # temporary arrays stays near 200 KB however long the trace is.
 _BLOCK_CELLS = 4096
 
-# Rounds whose medians and rows run() keeps before it folds their isolation
-# flags into its event counts and gathers the rows into agent order.
+# Rounds whose medians run() keeps before it folds their isolation flags
+# into its event counts.
 _ROUND_BLOCK = 64
 
 # Float64 cells (1 MB) in run()'s first chunk of trace rows, which doubles
-# each time a block of rounds does not fit; a 500-round run of 158 agents fits in the first chunk.
+# each time the next row does not fit; a 500-round run of 158 agents fits in the first chunk.
 _CHUNK_CELLS = 1 << 17
 
 # where a sorted vector's zeros (-0.0 and 0.0 alike) begin and end
@@ -244,7 +244,7 @@ class SimulationConfig:
         pairs = graph.id_array(list(chain.from_iterable(keys))).reshape(-1, 2)
         inside = ((pairs >= 0) & (pairs < n)).all(axis=1)
         agent, neighbor = np.where(inside[:, None], pairs, 0).astype(np.int64).T
-        malicious = np.zeros(n + 1, dtype=bool)  # a spare slot keeps an empty graph indexable
+        malicious = np.zeros(n + 1, dtype=bool)  # a spare entry keeps an empty graph indexable
         malicious[[u for u in self.layout.malicious if 0 <= u < n]] = True
         return inside & malicious[agent] & (self.graph.edge_positions(agent, neighbor) >= 0)
 
@@ -444,33 +444,32 @@ class Trace:
 def run(config: SimulationConfig) -> Trace:
     """Run the full simulation and collect the trace.
 
-    Equivalent to iterating step() from the initial values.  The legitimate
-    values are one vector in class order (width class, then agent id),
-    updated in place, at the head of the slot vector.  At round 0 and
-    whenever the cached order of the slots stops sorting them, run() sorts
-    the slots again (tied zeros by owner, as step() keeps them in neighbor
-    id order), gathers their ranks into every padded neighbor row (2-byte
-    ranks, 4-byte past 65,536 slots), sorts each class's rows and keeps the
-    slots of each row's two middle entries.  Every other round only checks
-    the order, gathers those entries and takes their mean; the malicious
-    agents' values are written only while the script has not yet held.  A
-    round's medians go into row j of a block buffer of up to _ROUND_BLOCK
-    rounds, the update multiplies them into a separate buffer, and the
-    round's trace row is the contiguous p[:n] in slot order.  Once per block
-    (a flush), one gather puts the block's rows in agent-id order, and
+    Equivalent to iterating step() from the initial values.  p[u] is agent
+    u's value: its state if legitimate, what it shows if malicious.  After
+    the n agents, p holds one value per distinct table override and a +inf
+    pad.  At round 0 and whenever the cached order of p stops sorting it,
+    run() sorts p again (tied zeros by owner, as step() keeps them in
+    neighbor id order), gathers the ranks into every legitimate agent's
+    neighbor row, padded on the right to its width class (2-byte ranks,
+    4-byte past 65,536 values), sorts each class's rows and keeps, at the
+    agent's id, the places in p of its row's two middle entries; a malicious
+    agent's are the pad's.  Every other round only checks the order, gathers
+    those entries and takes their mean.  Each round updates all n values,
+    then writes what the malicious agents show over theirs, and copies p[:n]
+    into the trace as the round's row.  A round's medians go into a block
+    buffer of up to _ROUND_BLOCK rounds.  Once per block (a flush),
     whole-block comparisons flag each median that left its community's
-    initial interval.  The flush adds each agent's flags to its event count
-    and keeps its first flagged round with that round's median, read from
-    the block buffer the update used.  The newest row stays in slot order,
-    so the fixed-point test always compares two rows in the same order, and
-    it runs before a flush converts the row before it.
+    initial interval (a malicious agent's is infinite, so it is never
+    flagged); the flush adds each agent's flags to its event count and keeps
+    its first flagged round with that round's median.
     From the first round at or after the script's last entry whose new row
     equals the row before it bit for bit, every later round repeats it, so
     the loop stops there and counts that round's flags once for each later
     round.  The rows, the only buffer that grows with the rounds, start at
-    a chunk of about 1 MB and double when a flush does not fit, so memory
-    grows with the rounds that change, not with the round count; the trace
-    keeps the rows up to the last distinct one and how often it repeats.
+    a chunk of about 1 MB and double when the next row does not fit, so
+    memory grows with the rounds that change, not with the round count; the
+    trace keeps the rows up to the last distinct one and how often it
+    repeats.
     """
     config.validate()
     g, layout = config.graph, config.layout
@@ -484,88 +483,81 @@ def run(config: SimulationConfig) -> Trace:
         raise ConfigError([f"initial values not finite or beyond 1e300: agents {bad.tolist()}"])
 
     mal_arr = np.array(sorted(layout.malicious), dtype=np.intp)
-    is_malicious = np.zeros(n, dtype=bool)
-    is_malicious[mal_arr] = True
-    legit = np.flatnonzero(~is_malicious)  # legitimate and malicious agents are all agents
-    # A legitimate agent's row is padded to the even width 2 * h of its class,
-    # h the least power of two with 2 * h >= its degree: under twice the degree
-    # plus one, and at most log2(max degree) + 1 classes, one sort each a round.
+    legit = np.setdiff1d(np.arange(n), mal_arr)  # legitimate and malicious agents are all agents
+    # A legitimate agent's row is padded on the right to the width of its
+    # class, the least power of two at or above its degree: under twice the
+    # degree, and at most log2(max degree) + 1 classes, one sort each a round.
     # frexp's exponent is the bit length of an integer below 2^53.
     deg = np.diff(g.indptr)
-    half = 1 << np.frexp((deg[legit] + 1) // 2 - 1)[1].astype(np.int64)
-    by_class = np.argsort(half, kind="stable")
-    legit_arr, half = legit[by_class], half[by_class]
+    width = 1 << np.frexp(deg[legit] - 1)[1].astype(np.int64)
+    by_class = np.argsort(width, kind="stable")
+    legit_arr, width = legit[by_class], width[by_class]
     L = legit_arr.size
     # no adversary behaves like a script that no agent shows
     adversary = config.adversary or AdversaryStrategy((0.0,))
     # every malicious agent displays script[min(t, held)] at round t
     script = np.array(adversary.script, dtype=np.float64)
     held = script.size - 1
-    # p[:L] holds the legitimate values in legit_arr's order and p[L:n] what
-    # the malicious agents show, slot[u] being agent u's place; after those
-    # come one slot per distinct (agent, value bits) of the fixed overrides,
-    # which[e] being override e's, and the last two slots hold the pads.
-    # owner[s] is the agent whose value slot s holds (n for the pads).
+    # p[n:] holds one value per distinct (agent, value bits) of the fixed
+    # overrides, which[e] being override e's place after n, then the pad.
+    # owner[s] is the agent whose value p[s] is (n for the pad).
     overrides = adversary.overrides
     keys = np.fromiter(chain.from_iterable(overrides), np.int64, 2 * len(overrides)).reshape(-1, 2)
     bits, of_bits = np.unique(np.fromiter(overrides.values(), np.float64, len(overrides)).view(np.int64),
                               return_inverse=True)
     pairs, which = np.unique(keys[:, 0] * len(bits) + of_bits, return_inverse=True)
     by, value = np.divmod(pairs, max(len(bits), 1))
-    S = n + len(pairs) + 2
+    S = n + len(pairs) + 1
     rank_type = np.dtype(np.uint16 if S <= 1 << 16 else np.uint32)
     # The worst case, checked before any round, as a run need not reach a fixed
     # point: the trace; an index and a rank per padded row entry; per row, the
-    # places, ranks, slots and values of its middle entries, its update term,
-    # interval bounds, event count and first event's round and median, and a
-    # median and two flags for each round of a block; a block's rows and the
-    # newest row before them; per slot, its place in the order, rank, owner,
-    # value in the order and a flag; and source's slot per CSR entry.
+    # places and ranks of its middle entries and their places in p; per agent,
+    # the places and values of its middle entries, its update term, interval
+    # bounds, event count, first event's round and median, its value's bytes
+    # in two rows, and a median and two flags for each round of a block; per
+    # value in p, the value, its place in the order, rank, owner, value in the
+    # order and a flag; and source's place per CSR entry.
     rb = rank_type.itemsize
     B = min(_ROUND_BLOCK, T)
-    if (8 * (T + 1) * n + 2 * (8 + rb) * int(half.sum()) + (96 + 2 * rb + 10 * B) * L
-            + 8 * (B + 1) * n + (25 + rb) * S + 8 * g.indices.size > graph.physical_memory()):
+    if (8 * (T + 1) * n + (8 + rb) * int(width.sum()) + (32 + 2 * rb) * L + (96 + 10 * B) * n
+            + (33 + rb) * S + 8 * g.indices.size > graph.physical_memory()):
         raise MemoryError(f"a {T}-round trace of {n} agents does not fit in memory")
-    p = np.concatenate([x0[legit_arr], np.full(n - L, script[0]),
-                        bits[value].view(np.float64), [-np.inf, np.inf]])
-    owner = np.concatenate([legit_arr, mal_arr, by, [n, n]])
-    slot = np.argsort(np.concatenate([legit_arr, mal_arr]))  # inverts the order
-    # source[k] is the slot of indices[k]: its neighbor's own slot unless an
-    # override fixes what that neighbor presents to the row's agent
-    source = slot[g.indices]
+    p = np.concatenate([x0, bits[value].view(np.float64), [np.inf]])
+    p[mal_arr] = script[0]
+    owner = np.concatenate([np.arange(n), by, [n]])
+    # source[k] is the place in p of indices[k]'s value: its neighbor's own
+    # unless an override fixes what that neighbor presents to the row's agent
+    source = g.indices.astype(np.intp)
     source[g.edge_positions(keys[:, 1], keys[:, 0])] = n + which
 
-    # Row r (legit_arr[r]'s padded neighbors) is ranked[start[r]:start[r] +
-    # 2 * half[r]], so each class is a 2-D run of ranked.  -inf pads on the
-    # left, +inf on the right and one more +inf for odd degree put a sorted
-    # row's median at column h - 1 (odd degree) or make it the mean of columns
-    # h - 1 and h (even degree).  pick[r] is the place in ranked of row r's
-    # column h - 1 and of column h, or of h - 1 again for odd degree, as
-    # (a + a) / 2 == a within MAX_MAGNITUDE.  j is an entry's place in its
-    # agent's adjacency row.
+    # Row r (legit_arr[r]'s neighbors, then pads) is ranked[start[r]:start[r]
+    # + width[r]], so each class is a 2-D run of ranked.  Sorted, a row of
+    # degree d has its median at columns (d - 1) // 2 and d // 2, one column
+    # twice at odd degree, as (a + a) / 2 == a within MAX_MAGNITUDE; pick[r]
+    # holds their places in ranked.  j is an entry's place in its agent's
+    # adjacency row.
     d = deg[legit_arr]
-    width = 2 * half
     start = np.cumsum(width) - width
-    begin = start + half - (d + 1) // 2  # where row r's neighbors begin in ranked
-    j = np.arange(int(width.sum())) - np.repeat(begin, width)
-    idx = np.where(j < 0, S - 2, S - 1)
-    inside = (j >= 0) & (j < np.repeat(d, width))
+    j = np.arange(int(width.sum())) - np.repeat(start, width)
+    inside = j < np.repeat(d, width)
+    idx = np.full(j.size, S - 1)
     idx[inside] = source[(np.repeat(g.indptr[legit_arr], width) + j)[inside]]
     del j, inside  # of the entry-sized arrays, the loop keeps only idx and ranked
-    pick = np.stack([start + half - 1, start + half - d % 2], axis=1)
+    pick = np.stack([start + (d - 1) // 2, start + d // 2], axis=1)
     ranked = np.empty(idx.size, rank_type)
     sizes, counts = np.unique(width, return_counts=True)
     parts = np.split(ranked, np.cumsum(sizes * counts)[:-1])
     classes = [part.reshape(-1, w) for part, w in zip(parts, sizes.tolist())]
-    # order lists the slots as step() sorts a row: by value, and the zeros
-    # by owner, as sorted() keeps -0.0 and 0.0 in the row's ascending id
-    # order (other tied values have equal bits).  rank[s] is slot s's place
-    # in it, and src[r] the slots of row r's two middle entries.
+    # order lists the places in p as step() sorts a row: by value, and the
+    # zeros by owner, as sorted() keeps -0.0 and 0.0 in the row's ascending
+    # id order (other tied values have equal bits).  rank[s] is place s's
+    # place in it, and src[u] the places in p of agent u's two middle entries.
     order, rank = np.empty(S, np.intp), np.empty(S, rank_type)
-    middle, src = np.empty((L, 2), rank_type), np.empty((L, 2), np.intp)
+    middle, places = np.empty((L, 2), rank_type), np.empty((L, 2), np.intp)
+    src = np.full((n, 2), S - 1, np.intp)
     ordered = np.empty(S)
     later, earlier, fell = ordered[1:], ordered[:-1], np.empty(S - 1, dtype=bool)
-    pair = np.empty((L, 2))
+    pair = np.empty((n, 2))
     left, right = pair.T
 
     def reorder() -> None:  # order, rank and src for the values in p
@@ -581,38 +573,31 @@ def run(config: SimulationConfig) -> Trace:
         for block in classes:
             block.sort(axis=1)
         ranked.take(pick, out=middle, mode="clip")
-        order.take(middle, out=src, mode="clip")
+        order.take(middle, out=places, mode="clip")
+        src[legit_arr] = places
 
     # rows[t] is the trace row of round t; it holds `size` rounds and doubles
-    # in place (a realloc) when a block does not fit, so no view of it may
-    # outlive a flush.  A block of B rounds keeps round r0 + j's medians in
-    # meds[j] and its new row, in slot order, in recent[j + 1]; recent[0]
-    # holds row r0, the newest row of the block before.  A flush puts all
-    # but the newest row in agent order and sets flags[j, k] if legit_arr[k]'s
-    # median at round r0 + j left its interval; events[k] counts the flags,
-    # first_round[k] (T while none) and first_median[k] keep the first.
+    # in place (a realloc) when the next row does not fit, so no view of it
+    # may outlive a round.  A block keeps round r0 + j's medians in meds[j];
+    # a flush sets flags[j, u] if agent u's median at round r0 + j left its
+    # interval; events[u] counts the flags, first_round[u] (T while none) and
+    # first_median[u] keep the first.
     size = min(T + 1, max(2, _CHUNK_CELLS // max(n, 1)))
     rows = np.empty((size, n), dtype=np.float64)
-    meds, flags, above = np.empty((B, L)), np.empty((B, L), bool), np.empty((B, L), bool)
-    events, first_round, first_median = np.zeros(L, np.int64), np.full(L, T), np.empty(L)
-    recent = np.empty((B + 1, n))
-    recent[0] = x0[np.concatenate([legit_arr, mal_arr])]  # row 0 in slot order
-    scaled = np.empty(L)
-    x = p[:L]
+    rows[0] = x0
+    meds, flags, above = np.empty((B, n)), np.empty((B, n), bool), np.empty((B, n), bool)
+    events, first_round, first_median = np.zeros(n, np.int64), np.full(n, T), np.empty(n)
+    scaled = np.empty(n)
+    x = p[:n]
 
     members = [np.array(sorted(s - layout.malicious), dtype=np.intp) for s in layout.subsets]
     intervals = [(float(x0[m].min()), float(x0[m].max())) if m.size else None for m in members]
-    low, high = np.array([intervals[layout.community_of(u)] for u in legit_arr]).reshape(-1, 2).T
+    low, high = np.full((2, n), np.inf) * [[-1.0], [1.0]]
+    for m, interval in zip(members, intervals):
+        if interval:
+            low[m], high[m] = interval
 
-    def flush(r0: int, count: int, newest: bool) -> None:
-        # rounds r0..r0 + count - 1 and their rows, and row r0 + count too
-        # when it is the newest of the run
-        nonlocal size
-        end = r0 + count + newest
-        while end > size:
-            size = min(T + 1, 2 * size)
-            rows.resize((size, n), refcheck=False)
-        recent[: count + newest].take(slot, axis=1, out=rows[r0:end], mode="clip")
+    def flush(r0: int, count: int) -> None:  # rounds r0..r0 + count - 1
         out = np.less(meds[:count], low, out=flags[:count])
         out |= np.greater(meds[:count], high, out=above[:count])
         if not out.any():  # no flag, or no round
@@ -624,12 +609,13 @@ def run(config: SimulationConfig) -> Trace:
 
     kept = T  # rounds computed; the last one repeats in every later round
     r0 = 0  # the block's first round
+    last = rows[0].tobytes()  # the previous row's bytes
     reorder()
     for t in range(T):
         j = t - r0
         # While p read in the old order is non-decreasing, that order sorts
-        # this round's values too, and each row's k-th entry is in the slot it
-        # was in.  Equal values have equal bits, except -0.0 and 0.0: the
+        # this round's values too, and each row's k-th entry is in the place
+        # it was in.  Equal values have equal bits, except -0.0 and 0.0: the
         # zeros, a run in the order, must still ascend by owner.  A byte 1 in
         # fell is a True: a value below the one before it.
         if t:
@@ -641,35 +627,35 @@ def run(config: SimulationConfig) -> Trace:
         p.take(src, out=pair, mode="clip")
         m = np.add(right, left, out=meds[j])
         m /= 2.0
-        # alpha * x + (1 - alpha) * m: the same two products and one sum
+        # alpha * x + (1 - alpha) * m: the same two products and one sum; a
+        # malicious agent's is infinite, from the pad, until it shows its value
         x *= alpha
         x += np.multiply(m, 1.0 - alpha, out=scaled)
-        # p[L:n] shows script[0] from the start and changes only until the
-        # script holds; p[:n], now round t + 1, is that row in slot order
-        if t < held:
-            p[L:n] = script[t + 1]
-        new = recent[j + 1]
-        new[:] = p[:n]
+        p[mal_arr] = script[min(t + 1, held)]
+        if t + 1 == size:
+            size = min(T + 1, 2 * size)
+            rows.resize((size, n), refcheck=False)
+        rows[t + 1] = x
+        new = x.tobytes()
         # the fixed point; comparing bytes keeps -0.0 apart from 0.0
-        if t >= held and new.tobytes() == recent[j].tobytes():
+        if t >= held and new == last:
             kept = t + 1
             break
+        last = new
         if j + 1 == B:
-            flush(r0, B, False)
-            recent[0] = new
+            flush(r0, B)
             r0 = t + 1
-    flush(r0, kept - r0, True)
+    flush(r0, kept - r0)
     # round kept - 1's flags hold in each of the T - kept later rounds
-    events[:] += (T - kept) * flags[kept - 1 - r0]
+    events += (T - kept) * flags[kept - 1 - r0]
 
     reports = []
     for i, own in enumerate(members):
-        cols = slot[own]  # a legitimate agent's slot is its column in meds
         first = None
-        if events[cols].any():  # earliest round, then lowest id
-            c = cols[first_round[cols].argmin()]
-            first = (int(first_round[c]), int(legit_arr[c]), float(first_median[c]))
-        reports.append(IsolationReport(i, int(events[cols].sum()), first))
+        if events[own].any():  # earliest round, then lowest id
+            u = own[first_round[own].argmin()]
+            first = (int(first_round[u]), int(u), float(first_median[u]))
+        reports.append(IsolationReport(i, int(events[own].sum()), first))
     rows.resize((kept + 1, n), refcheck=False)  # drop the unused capacity
     rows.setflags(write=False)
     return Trace(rows, config, tuple(intervals), tuple(reports), T - kept)

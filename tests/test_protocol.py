@@ -364,7 +364,7 @@ class TestRunMatchesStep:
 
     def test_bitwise_equality_on_odd_medians_at_the_extremes(self):
         # run() takes an odd median a as (a + a) / 2: for each a below, agents
-        # of degrees 1, 3 and 5 (widths 2, 4 and 8) see only malicious agents
+        # of degrees 1, 3 and 5 (widths 1, 4 and 8) see only malicious agents
         # 0-4, which show them a between as many values at or below
         # min(a, -1) as at or above max(a, 1), so their median is a in every
         # round
@@ -386,11 +386,11 @@ class TestRunMatchesStep:
         assert trace.values[1, 5:].tobytes() == np.repeat(extremes, 3).tobytes()
 
     def test_first_event_before_the_script_holds_sees_its_own_round(self):
-        # run() writes what malicious agent 0 shows only until its script
-        # holds (round 2), and after the loop recomputes the median of the
-        # first isolation event.  Agent 1 sees agent 0 alone, so its round-0
-        # median is 100, outside [0, 9] unlike the held 5.  Legitimate
-        # degrees 1, 3, 5 and 2 put agents in the width classes 2, 4 and 8.
+        # malicious agent 0's script holds from round 2, and the first
+        # isolation event's median is the one its round used.  Agent 1 sees
+        # agent 0 alone, so its round-0 median is 100, outside [0, 9] unlike
+        # the held 5.  Legitimate degrees 1, 3, 5 and 2 put agents in the
+        # width classes 1, 2, 4 and 8.
         g = Graph(10, [(0, 1), (0, 2), (2, 3), (2, 4), (0, 5), (3, 5), (4, 5), (5, 6),
                        (5, 7), (3, 4), (6, 7), (7, 8), (8, 9), (6, 9)])
         assert [g.degree(u) for u in range(1, 10)] == [1, 3, 3, 3, 5, 3, 3, 2, 2]
@@ -436,8 +436,8 @@ class TestRunMatchesStep:
 
     def test_bitwise_equality_past_65536_slots(self):
         # malicious hub 0 shows each of 33,000 legitimate agents on a path a
-        # value of its own, so the values take 66,003 slots (agents, table
-        # values and two pads) and run() ranks them in 4 bytes, not 2
+        # value of its own, so run() ranks 66,002 values (agents, table
+        # values and the pad) in 4 bytes, not 2
         k = 33_000
         rng = np.random.default_rng(3)
         edges = [(0, v) for v in range(1, k + 1)] + [(v, v + 1) for v in range(1, k)]
@@ -543,9 +543,13 @@ class TestFixedPointStop:
 
 def boundary_configs():
     """Runs that reach a fixed point: a star and a K_5 whose malicious agent
-    follows a four-entry script within 60 rounds, and, at round 2590, a pair
-    that a malicious neighbor drags out of its interval in every round, the
-    repeats too."""
+    follows a four-entry script within 60 rounds; at round 2590, a pair that
+    a malicious neighbor drags out of its interval in every round, the
+    repeats too; and at rounds 231 and 205, a graph whose malicious agents
+    0, 4 and 8 hold the lowest id, one between legitimate ones and the
+    highest, under a three-entry script and under a table.  Its legitimate
+    agents 1, 2, 3, 5, 6 and 7 have degrees 2, 4, 5, 5, 6 and 3, in the
+    width classes 2, 4 and 8."""
     star = replace(star_config(alpha=0.5), rounds=400)
     scripted = SimulationConfig(
         complete_graph(5), CommunityLayout([range(5)], [4]),
@@ -554,7 +558,15 @@ def boundary_configs():
     pulled = SimulationConfig(
         complete_graph(3), CommunityLayout([range(3)], malicious={2}),
         PresetValues((5.0, 5.0, 0.0)), ConstantValue(0.0), 0.5, 400, 0)
-    return {"star": star, "scripted": scripted, "pulled": pulled}
+    mixed = SimulationConfig(
+        Graph(9, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (2, 3), (2, 4), (2, 8), (3, 4), (3, 5),
+                  (3, 6), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8)]),
+        CommunityLayout([range(5), range(5, 9)], malicious={0, 4, 8}),
+        PresetValues((0.0, 1.0, 2.0, 3.0, 0.0, 6.0, 7.0, 8.0, 0.0)),
+        RoundScript((60.0, -5.0, 2.5)), 0.5, 400, 0)
+    table = PerNeighborTable({(0, 1): 1e3, (4, 5): -1e3, (8, 7): 50.0, (4, 3): -0.0}, 4.5)
+    return {"star": star, "scripted": scripted, "pulled": pulled,
+            "mixed": mixed, "mixed table": replace(mixed, adversary=table)}
 
 
 def fixed_point(cfg) -> int:
@@ -735,7 +747,7 @@ class TestHeadTailBoundary:
 def jump_config(e: int, rounds: int, low: float = -100.0):
     """A K_5 whose malicious agent 4 shows 100 until round e and `low` from
     it on: with -100 its value falls from above every other to below them at
-    round e, which reorders the slots, while each legitimate median stays
+    round e, which reorders the values, while each legitimate median stays
     inside [1, 4]."""
     return SimulationConfig(
         complete_graph(5), CommunityLayout([range(5)], [4]),
@@ -753,8 +765,8 @@ def pulse_config(e: int, rounds: int):
 
 
 class TestRoundBlocks:
-    """run() keeps a block of rounds' medians and slot-order rows, and once
-    per block gathers the rows into agent order and folds the block's
+    """run() writes each round's row into the trace in agent-id order and
+    keeps a block of rounds' medians; once per block it folds the block's
     isolation flags into each agent's event count and first event.  Events
     just before, on and just after a block boundary leave it bitwise equal
     to step(), with the reports of the median oracle."""
@@ -775,7 +787,9 @@ class TestRoundBlocks:
         # run of a multiple of 6 rounds that ends before round k ends on a
         # boundary of blocks of 1, 2 and 3 rounds, so its last flush holds no
         # round.  Both legitimate agents of the pulled pair are outside their
-        # interval in every round, the repeats too
+        # interval in every round, the repeats too.  The mixed graph's
+        # malicious agents show the script's three entries before it holds
+        # and its last one after, and the table's values from round 0 on
         for name, base in boundary_configs().items():
             k = fixed_point(base)
             for rounds in (6 * ((k - 1) // 6), k - 1, k, k + 1):
@@ -859,20 +873,21 @@ class TestRun:
 
     def test_trace_beyond_physical_memory_refused_up_front(self, monkeypatch):
         # 6 rows of 4 float64 values; an 8-byte index and a 2-byte rank per
-        # entry of the padded rows of widths 4, 2, 2, 2 (degrees 3, 1, 1, 1);
-        # per row, 16 bytes of middle-entry places, 4 of their ranks, 16 of
-        # their slots, 16 of their values, an 8-byte update term, 16 bytes of
-        # interval bounds, an 8-byte event count, an 8-byte first event round
-        # and its 8-byte median, and an 8-byte median and two 1-byte flags for
-        # each of the 5 rounds of a block; the block's 5 rows of 4 float64
-        # values and the newest row before them; per slot (4 agents and 2
-        # pads), an 8-byte place in the order, a 2-byte rank, an 8-byte owner,
-        # an 8-byte value in the order and a 1-byte flag; and an 8-byte slot
-        # per entry of the 6 CSR entries
-        need = (6 * 4 * 8 + (4 + 2 + 2 + 2) * (8 + 2)
-                + 4 * (16 + 4 + 16 + 16 + 8 + 16 + 8 + 8 + 8 + 5 * 10) + 6 * 4 * 8
-                + 6 * (8 + 2 + 8 + 8 + 1) + 6 * 8)
-        assert need == 1294
+        # entry of the padded rows of widths 4, 1, 1, 1 (degrees 3, 1, 1, 1);
+        # per row, 16 bytes of middle-entry places in the row buffer, 4 of
+        # their ranks and 16 of their places in the values; per agent, 16
+        # bytes of middle-entry places, 16 of their values, an 8-byte update
+        # term, 16 bytes of interval bounds, an 8-byte event count, an 8-byte
+        # first event round and its 8-byte median, 16 bytes of its value in
+        # two rows' bytes, and an 8-byte median and two 1-byte flags for each
+        # of the 5 rounds of a block; per value (4 agents and the pad), the
+        # 8-byte value, an 8-byte place in the order, a 2-byte rank, an 8-byte
+        # owner, an 8-byte value in the order and a 1-byte flag; and an 8-byte
+        # place per entry of the 6 CSR entries
+        need = (6 * 4 * 8 + (4 + 1 + 1 + 1) * (8 + 2) + 4 * (16 + 4 + 16)
+                + 4 * (16 + 16 + 8 + 16 + 8 + 8 + 8 + 16 + 5 * 10)
+                + 5 * (8 + 8 + 2 + 8 + 8 + 1) + 6 * 8)
+        assert need == 1213
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match="5-round trace of 4 agents"):
             run(star_config())
@@ -880,17 +895,17 @@ class TestRun:
         assert run(star_config()).rounds == 5
 
     def test_memory_guard_counts_each_row_at_its_own_width(self, monkeypatch):
-        # a 1000-leaf star: the hub's row is 1024 wide and every leaf's 2, so
-        # the padded rows take 3024 entries, not 1001 rows of the hub's width;
-        # each entry holds an index and a 2-byte rank, each row 150 bytes, the
-        # block 6 rows, each of the 1003 slots 27 (as in the test above), and
-        # each of the 2000 CSR entries a slot
+        # a 1000-leaf star: the hub's row is 1024 wide and every leaf's 1, so
+        # the padded rows take 2024 entries, not 1001 rows of the hub's width;
+        # each entry holds an index and a 2-byte rank, each row 36 bytes,
+        # each agent 146 (5-round blocks), each of the 1002 values 35 (as in
+        # the test above), and each of the 2000 CSR entries a place
         g = Graph(1001, [(0, v) for v in range(1, 1001)])
         cfg = SimulationConfig(g, CommunityLayout([range(1001)]),
                                PresetValues(tuple(float(u % 7) for u in range(1001))), None, 0.5, 5, 0)
-        need = (6 * 1001 * 8 + (1024 + 1000 * 2) * (8 + 2) + 1001 * 150
-                + 6 * 1001 * 8 + 1003 * 27 + 2000 * 8)
-        assert need == 319_567
+        need = (6 * 1001 * 8 + (1024 + 1000 * 1) * (8 + 2) + 1001 * 36 + 1001 * 146
+                + 1002 * 35 + 2000 * 8)
+        assert need == 301_540
         monkeypatch.setattr("commca.graph.physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
             run(cfg)
@@ -900,12 +915,12 @@ class TestRun:
     def test_memory_guard_grows_by_one_trace_row_per_round(self, monkeypatch):
         # from 64 rounds on, a block holds 64 rounds whatever the round
         # count, so each more round adds only its trace row of 4 float64
-        # values to the star's terms itemised two tests above: 65 trace
-        # rows, 64-round blocks and 65 block rows at 64 rounds
+        # values to the star's terms itemised two tests above: 65 trace rows
+        # and 64-round blocks at 64 rounds
         cfg = replace(star_config(), rounds=64)
-        need = (65 * 4 * 8 + 10 * 10 + 4 * (100 + 64 * 10) + 65 * 4 * 8
-                + 6 * 27 + 6 * 8)
-        assert need == 7430
+        need = (65 * 4 * 8 + 7 * 10 + 4 * 36 + 4 * (96 + 64 * 10)
+                + 5 * 35 + 6 * 8)
+        assert need == 5461
         for rounds, bound in ((64, need), (65, need + 8 * 4), (200, need + 136 * 8 * 4)):
             cfg = replace(cfg, rounds=rounds)
             monkeypatch.setattr("commca.graph.physical_memory", lambda: bound - 1)

@@ -11,12 +11,13 @@ r-excess reachable; it coincides with the s = 1 variant.
 
 X(S) depends on S alone, so a pair violates the clauses iff both sides are
 non-full and c(S1) + c(S2) < s, with c = |X|.  The checkers tabulate c and
-fullness for all 2^n subsets, take a subset-minimum (zeta) transform of c
+fullness for all 2^n subsets, from small tables over the low and the high
+halves of the subset masks, take a subset-minimum (zeta) transform of c
 over the non-full subsets (Bjorklund, Husfeldt, Kaski, Koivisto, STOC 2007),
 and test each S1 against the best partner inside its complement.  That takes
-O(n * 2^n) time and a few 2^n-entry arrays of memory: on one core of an Intel
-Xeon, a G(n, 0.85) graph takes 0.03 s and 8 MiB of arrays at n = 20, and
-0.2 s and 48 MiB at n = 22.  A graph whose tables would exceed physical
+O(n * 2^n) time and three 2^n-byte arrays at once: on one core of an Intel
+Xeon, a G(n, 0.85) graph takes 0.007 s and 3.1 MiB of arrays at n = 20, and
+0.03 s and 12 MiB at n = 22.  A graph whose arrays would exceed physical
 memory is refused with MemoryError before any is allocated.  Checks are
 capped by default at n = 22 agents (cap=None here, COMMCA_CAP or --force on
 the command line, change it).  The community predicate first tries a
@@ -212,13 +213,22 @@ def evaluate_pair(
     return PairEvaluation(reachable_set(g, a, r), reachable_set(g, b, r), s)
 
 
-def _all_subsets(n: int) -> np.ndarray:
-    dtype = np.min_scalar_type((1 << n) - 1)
-    # The indices, a temporary as wide, and about six one-byte tables are alive
-    # at once; refuse before allocating any of them when RAM cannot hold them.
-    if (1 << n) * (2 * dtype.itemsize + 6) > graph.physical_memory():
-        raise MemoryError
-    return np.arange(1 << n, dtype=dtype)
+# A member's inside count where the member is not in the subset: more than
+# any threshold (deg - r) // 2, so the member never counts as reachable.
+_OUTSIDE = 127
+# Subsets counted by one broadcast compare of n bytes each (1.4 MB at n = 22).
+_BLOCK = 1 << 16
+
+
+def _engine_bytes(n: int) -> int:
+    # What the engine holds at once, summed over its phases: three one-byte
+    # arrays of 2^n entries (counts, fullness and the sizes they are compared
+    # with; then c, best and its transpose; then c, the sums and the failing
+    # flags), one block's compare of n bytes a subset, and per half mask the
+    # member tables: 2n rows of an int64 operand, its popcount, the
+    # membership test and the entry (11 bytes a row), n one-byte budgets and
+    # the int64 mask itself.
+    return 3 * (1 << n) + n * min(1 << n, _BLOCK) + (23 * n + 8) * (1 << n - n // 2)
 
 
 def _subset_table(masks: tuple[int, ...], r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,20 +236,68 @@ def _subset_table(masks: tuple[int, ...], r: int) -> tuple[np.ndarray, np.ndarra
 
     Index S of each array is the subset with bitmask S.  The empty set counts
     as full, so ~full marks exactly the non-empty, non-full subsets.
+
+    Member u reaches in S iff u is in S and |N(u) & S| <= (deg(u) - r) // 2.
+    Split S into its low n//2 bits a and its high bits b, so that
+    S = a + b * 2^(n//2).  A table over the low halves holds u's neighbor
+    count in a, or _OUTSIDE when u is a low member missing from a; one over
+    the high halves holds u's threshold less its count in b, or less
+    _OUTSIDE when u is a high member missing from b.  c(S) is the number of
+    members whose low entry is at most their high entry, so one broadcast
+    compare summed over members fills a block of counts.
     """
     n = len(masks)
-    subsets = _all_subsets(n)
-    counts = np.zeros(1 << n, dtype=np.uint8)
-    for u, nb in enumerate(masks):
-        # excess = deg - 2 * inside >= r  <=>  inside <= (deg - r) // 2
-        most_inside = (nb.bit_count() - r) // 2
-        if most_inside < 0:
-            continue
-        # the subsets containing u are the upper halves of blocks of 2^(u+1)
-        with_u = subsets.reshape(-1, 2, 1 << u)[:, 1]
-        reach = np.bitwise_count(with_u & nb) <= most_inside
-        counts.reshape(-1, 2, 1 << u)[:, 1] += reach
-    return counts, counts == np.bitwise_count(subsets)
+    if _engine_bytes(n) > graph.physical_memory():  # refused before anything is allocated
+        raise MemoryError
+    lo = n // 2
+    x = np.arange(1 << n - lo)
+    low = (1 << lo) - 1
+    bit = [1 << u for u in range(n)]
+    # rows 0..n-1 hold the members' low halves, rows n..2n-1 their high halves
+    halves = np.array([nb & low for nb in masks] + [nb >> lo for nb in masks]
+                      + [b & low for b in bit] + [b >> lo for b in bit], dtype=np.int64)
+    nbr, own = halves.reshape(2, -1, 1)
+    tab = np.where(x & own == own, np.bitwise_count(x & nbr), np.uint8(_OUTSIDE)).view(np.int8)
+    # -1 for every member of degree below r, which never reaches, keeps the
+    # budgets (most - _OUTSIDE at least) within int8
+    most = [max((nb.bit_count() - r) // 2, -1) for nb in masks]
+    inside = tab[:n, None, : 1 << lo]
+    budget = (np.array(most, dtype=np.int8)[:, None] - tab[n:])[:, :, None]
+    counts = np.empty((len(x), 1 << lo), dtype=np.uint8)
+    step = max(1, _BLOCK >> lo)
+    for b in range(0, len(x), step):
+        reach = (inside <= budget[:, b : b + step]).view(np.uint8)
+        np.add.reduce(reach, axis=0, out=counts[b : b + step])
+        del reach  # one block's compare at a time
+    size = np.bitwise_count(x)
+    full = counts == size[:, None] + size[: 1 << lo]
+    return counts.reshape(-1), full.reshape(-1)
+
+
+def _subset_minimum(values: np.ndarray) -> np.ndarray:
+    """best[M] = min(values[S] for every submask S of M), for 2^n values.
+
+    One pass per bit (Bjorklund, Husfeldt, Kaski, Koivisto, STOC 2007).  The
+    passes for bits 5 and up pair runs of 32 or more entries in place.  Bits
+    0-4 pair runs of 1 to 16, so they run on a copy that transposes each
+    block of 128 rows of 32, where their runs are 128 to 2048 entries long.
+    The result is that copy seen through its transpose: a (-1, rows, 32)
+    view in index order (rows shrink below 12 agents, and 32 below 5),
+    which reshape(-1) flattens.
+    """
+    n = values.size.bit_length() - 1
+    best = values.copy()
+    for i in range(5, n):
+        halves = best.reshape(-1, 2, 1 << i)
+        np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    k = min(n, 5)
+    rows = min(128, 1 << n - k)
+    low = best.reshape(-1, rows, 1 << k).transpose(0, 2, 1).copy()
+    del best
+    for i in range(k):
+        halves = low.reshape(-1, 2, rows << i)
+        np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    return low.transpose(0, 2, 1)
 
 
 def _violating_pair(masks: tuple[int, ...], r: int, s: int) -> tuple[int, int] | None:
@@ -250,17 +308,25 @@ def _violating_pair(masks: tuple[int, ...], r: int, s: int) -> tuple[int, int] |
     try:
         counts, full = _subset_table(masks, r)
         s = min(s, n + 1)  # c(S1) + c(S2) <= n, and n + 1 keeps uint8 sums exact
-        best = counts.copy()
-        best[full] = n + 1
-        for i in range(n):
-            halves = best.reshape(-1, 2, 1 << i)
-            np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
-        fails = ~full & (counts + best[::-1] < s)
+        c = full.view(np.uint8) * np.uint8(n + 1)  # c, or n + 1 on full subsets
+        np.maximum(c, counts, out=c)
+        del counts, full  # each array goes once used: _engine_bytes counts three
+        best = _subset_minimum(c)
+        sums = c.reshape(best.shape) + best[::-1, ::-1, ::-1]  # best[~S] at S
+        del best
+        fails = (sums < s).reshape(-1)
         first = int(np.argmax(fails))
         if not fails[first]:
             return None
-        disjoint = (_all_subsets(n) & first) == 0
-        second = int(np.argmax(~full & disjoint & (counts < s - int(counts[first]))))
+        del sums, fails
+        # S2 is disjoint from S1 iff its low and its high halves are
+        lo = n // 2
+        x = np.arange(1 << n - lo)
+        apart = (x & np.array([[first >> lo], [first]])) == 0
+        partner = c.reshape(len(x), -1) < s - int(c[first])
+        partner &= apart[0, :, None]
+        partner &= apart[1, : 1 << lo]
+        second = int(np.argmax(partner))
     except MemoryError:
         raise MemoryError(f"cannot tabulate all {1 << n} subsets of {n} agents") from None
     return first, second

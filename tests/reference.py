@@ -58,6 +58,27 @@ def naive_is_r_robust(g: Graph, r: int) -> bool:
     return True
 
 
+def reference_subset_table(masks: Sequence[int], r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Reachable counts and fullness of all 2^n subsets, one member at a time.
+
+    The per-member loop the exact engine used before it built its counts from
+    tables over the two halves of each subset mask: member u adds one to
+    every subset that contains it and holds at most (deg(u) - r) // 2 of its
+    neighbors.  Index S is the subset with bitmask S.
+    """
+    n = len(masks)
+    subsets = np.arange(1 << n, dtype=np.int64)
+    counts = np.zeros(1 << n, dtype=np.uint8)
+    for u, nb in enumerate(masks):
+        most_inside = (nb.bit_count() - r) // 2
+        if most_inside < 0:
+            continue
+        with_u = subsets.reshape(-1, 2, 1 << u)[:, 1]
+        reach = np.bitwise_count(with_u & nb) <= most_inside
+        counts.reshape(-1, 2, 1 << u)[:, 1] += reach
+    return counts, counts == np.bitwise_count(subsets)
+
+
 def naive_preservation_holds(g: Graph, members: Iterable[int]) -> bool:
     """Exhaustive form of the reachability preservation property.
 

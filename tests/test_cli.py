@@ -283,8 +283,9 @@ class TestCheckErrors:
     def test_tables_beyond_physical_memory_refused_up_front(
         self, tmp_path, capsys, monkeypatch
     ):
-        # 9 agents need 512 * (2 * 2 + 6) bytes by the estimate, 8 agents 2048
-        monkeypatch.setattr("commca.graph.physical_memory", lambda: 4096)
+        # By the estimate 9 agents need 3 * 512 + 9 * 512 + (23 * 9 + 8) * 32
+        # = 13024 bytes, 8 agents 3 * 256 + 8 * 256 + (23 * 8 + 8) * 16 = 5888
+        monkeypatch.setattr("commca.graph.physical_memory", lambda: 8192)
         path = write_graph(tmp_path, Graph(9, [(i, i + 1) for i in range(8)]))
         assert main(["check", path, "--rs", "0", "1", "--force"]) == 3
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,13 @@ from commca import (
     reachable_set,
     verify_reachability_preservation,
 )
-from commca.robustness import _subset_table, _translate_witness
+from commca.robustness import (
+    _BLOCK,
+    _subset_minimum,
+    _subset_table,
+    _translate_witness,
+    _violating_pair,
+)
 from commca.scenarios import example1, example3
 
 from reference import (
@@ -34,6 +41,7 @@ from reference import (
     naive_preservation_holds,
     naive_reachable,
     random_graph,
+    reference_subset_table,
 )
 
 
@@ -159,6 +167,72 @@ class TestSubsetTable:
                 reach = naive_reachable(g, subset, r)
                 assert counts[mask] == len(reach), (g.n, sorted(g.edges), r, mask)
                 assert full[mask] == (reach == subset), (g.n, sorted(g.edges), r, mask)
+
+    def test_matches_the_per_member_loop(self):
+        # The last agent is isolated; sparse draws leave members whose degree
+        # is below r, which never reach.  From n = 17 the compare-and-sum runs
+        # in more than one block of subsets.
+        assert _BLOCK < 2**17
+        rng = random.Random(33)
+        below_r = 0
+        for n in range(19):
+            for r in range(4):
+                p = rng.choice((0.15, 0.5, 0.9))
+                edges = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)
+                         if rng.random() < p]
+                masks = Graph(n, edges).neighbor_masks()
+                assert n == 0 or masks[-1] == 0
+                below_r += sum(nb.bit_count() < r for nb in masks)
+                counts, full = _subset_table(masks, r)
+                want_counts, want_full = reference_subset_table(masks, r)
+                assert counts.dtype == np.uint8 and full.dtype == bool
+                assert counts.tolist() == want_counts.tolist(), (n, r, edges)
+                assert full.tolist() == want_full.tolist(), (n, r, edges)
+        assert below_r > 0
+
+
+class TestSubsetMinimum:
+    def test_matches_a_direct_minimum_over_submasks(self):
+        # below 5 agents every bit goes through the transposed copy
+        rng = np.random.default_rng(35)
+        for n in range(11):
+            values = rng.integers(0, 12, 2**n, dtype=np.uint8)
+            before = values.copy()
+            want = []
+            for mask in range(2**n):
+                sub, least = mask, values[0]
+                while sub:  # every non-empty submask, then the empty one above
+                    least = min(least, values[sub])
+                    sub = (sub - 1) & mask
+                want.append(int(least))
+            assert _subset_minimum(values).reshape(-1).tolist() == want, n
+            assert np.array_equal(values, before)
+
+
+class TestWitnessOrder:
+    def test_lowest_failing_first_subset_then_lowest_partner(self):
+        # check prints the witness the engine returns, so its order is output
+        rng = random.Random(37)
+        verdicts = {True: 0, False: 0}
+        for _ in range(80):
+            n = rng.randint(0, 9)
+            # dense above 6 agents, where sparser draws are seldom robust
+            masks = random_graph(rng, n, max(rng.random(), 0.8 * (n > 6))).neighbor_masks()
+            r, s = rng.randint(0, 3), rng.randint(1, 4)
+            counts, full = reference_subset_table(masks, r)
+            c = [None if full[m] else int(counts[m]) for m in range(2**n)]
+            want = None
+            for first in range(2**n):
+                if c[first] is None:
+                    continue
+                second = next((m for m in range(2**n) if not m & first
+                               and c[m] is not None and c[first] + c[m] < s), None)
+                if second is not None:
+                    want = (first, second)
+                    break
+            assert _violating_pair(masks, r, s) == want, (masks, r, s)
+            verdicts[want is None] += 1
+        assert min(verdicts.values()) >= 10
 
 
 class TestPairRobustness:

@@ -20,12 +20,13 @@ Xeon, a G(n, 0.85) graph takes 0.007 s and 3.1 MiB of arrays at n = 20, and
 0.03 s and 12 MiB at n = 22.  A graph whose arrays would exceed physical
 memory is refused with MemoryError before any is allocated.  Checks are
 capped by default at n = 22 agents (cap=None here, COMMCA_CAP or --force on
-the command line, change it).  The community predicate first tries a
-minimum-degree bound that decides many communities at any size (see
-is_community); it reads the members' degrees off the whole graph and builds
-the induced subgraph only when the bound leaves the question open or a
-complete community needs its witness.  Negative verdicts carry a
-machine-checkable witness pair.
+the command line, change it).  Every check, the community predicate's
+robustness clause included, is one procedure (_decide): two closed forms
+first, at any size, then the cap and the engine.  One is a minimum-degree
+bound under which no two disjoint non-full subsets fit; the other tests one
+candidate pair, which is the engine's own witness when it violates.  So a
+check past the cap exits 3 only when neither settles it, as on a path at
+r = 0.  Negative verdicts carry a machine-checkable witness pair.
 
 Reachability preservation (Proposition 1) follows from one line of algebra,
 so it is certified in closed form at any community size and needs no cap.
@@ -343,17 +344,38 @@ def _mask_ids(mask: int) -> frozenset[int]:
 
 def _decide(
     g: Graph, r: int, s: int, cap: int | None, label: int | None
-) -> RobustnessWitness:
+) -> tuple[RobustnessWitness, bool]:
+    """The (r, s) verdict on g, and whether a closed form gave it.
+
+    This is the one procedure behind every robustness check.  A non-full
+    subset has k = max(1, floor((delta - r) / 2) + 2) members or more, so
+    2k > n means robust.  Else {0..k-1} is the lowest mask that can be
+    non-full and {k..2k-1} its lowest disjoint partner: when they violate,
+    they are the pair the engine would report.  Both hold at any size.  Only
+    a question neither settles meets the cap (EnumerationCapExceeded, exit 3
+    on the command line) and then the engine.
+    """
     if r < 0:
         raise ValueError("r must be non-negative")
     if s < 1:
         raise ValueError("s must be at least 1")
+    deg = np.diff(g.indptr)
+    k = _least_non_full_size(int(deg.min(initial=g.n)), r)
+    if 2 * k > g.n:
+        return RobustnessWitness(True, r, label), True
+    # each side's reachable count c in the pair ({0..k-1}, {k..2k-1}), from
+    # the members' rows: excess is degree less twice the neighbors on its side
+    rows = np.repeat(np.arange(2 * k), deg[: 2 * k])
+    own = g.indices[: g.indptr[2 * k]] // k == rows // k
+    c = (deg[: 2 * k] - 2 * np.bincount(rows[own], minlength=2 * k) >= r).reshape(2, k).sum(1)
+    if c.max() < k and c.sum() < s:  # neither side is full
+        return _violation(g, range(k), range(k, 2 * k), r, s, label), True
     if cap is not None and g.n > cap:
         raise EnumerationCapExceeded(g.n, cap)
     pair = _violating_pair(g.neighbor_masks(), r, s)
     if pair is None:
-        return RobustnessWitness(True, r, label)
-    return _violation(g, _mask_ids(pair[0]), _mask_ids(pair[1]), r, s, label)
+        return RobustnessWitness(True, r, label), False
+    return _violation(g, _mask_ids(pair[0]), _mask_ids(pair[1]), r, s, label), False
 
 
 def _violation(
@@ -366,12 +388,12 @@ def _violation(
 def is_rs_excess_robust(
     g: Graph, r: int, s: int, cap: int | None = DEFAULT_ENUMERATION_CAP
 ) -> RobustnessWitness:
-    """Decide (r, s)-excess robustness over all 2^n subsets.
+    """Decide (r, s)-excess robustness: closed forms first, then all 2^n subsets.
 
     Empty and singleton graphs are vacuously robust (no disjoint pair
     exists).  Pass cap=None to lift the size cap.
     """
-    return _decide(g, r, s, cap, s)
+    return _decide(g, r, s, cap, s)[0]
 
 
 def is_r_excess_robust(
@@ -381,17 +403,17 @@ def is_r_excess_robust(
 
     This is the s = 1 case; the witness carries s=None to name the plain form.
     """
-    return _decide(g, r, 1, cap, None)
+    return _decide(g, r, 1, cap, None)[0]
 
 
 def complete_rs_certificate(n: int, r: int, s: int) -> bool:
     """Closed-form (r, s)-excess robustness verdict for the complete graph K_n.
 
-    This is is_community's minimum-degree bound at delta = n - 1: K_n is
-    robust iff 2k > n, k = max(1, floor((n - 1 - r) / 2) + 2).  Members of a
+    This is _decide's minimum-degree bound at delta = n - 1: K_n is robust
+    iff 2k > n, k = max(1, floor((n - 1 - r) / 2) + 2).  Members of a
     k-subset of K_n have excess n - 2k + 1, and k is the least size where that
-    falls below r, so two disjoint k-subsets fail whatever s is (their
-    reachable count is zero), and no pair fails when they do not fit.
+    falls below r, so when 2k <= n _decide's candidate pair of two k-subsets
+    fails whatever s is (no member reaches): no complete graph needs the engine.
     """
     if n < 2:
         raise ValueError("the certificate applies to complete graphs on n >= 2 agents")
@@ -415,22 +437,17 @@ def is_community(
 ) -> CommunityCheck:
     """Community predicate: induced robustness plus the induced degree bound.
 
-    The robustness clause runs on the induced subgraph at threshold r equal
-    to the member set's external degree bound, with required count
-    malicious_count + 1.  A member u of a non-full subset S has excess
-    deg(u) - 2 in_S(u) < r, so |S| >= k = max(1, floor((delta - r) / 2) + 2)
-    for induced minimum degree delta.  When 2k > |V| no two disjoint non-full
-    subsets fit and the clause holds at any size.  Otherwise a complete
-    induced subgraph fails on its first two k-sets, at any size, and any other
-    goes to the engine under the cap.  Past the cap, a member set that fails
-    the degree clause gets a degree-only verdict (robust is None) instead of
-    EnumerationCapExceeded.  witness is in original ids.
+    The robustness clause is (r, malicious_count + 1)-excess robustness of
+    the induced subgraph, r the member set's external degree bound, and
+    _decide decides it: its closed forms at any size, then the engine under
+    the cap.  Past the cap, a member set that no closed form settles and that
+    fails the degree clause gets a degree-only verdict (robust is None)
+    instead of EnumerationCapExceeded.  witness is in original ids.
 
     Each member's external degree and induced degree (its degree less the
-    external part) come from one pass over the members' adjacency rows, and
-    delta and completeness (delta = |V| - 1) are read off them.  The induced
-    subgraph is built only when 2k <= |V|, for the engine or the complete
-    graph's witness.
+    external part) come from one pass over the members' adjacency rows.
+    _decide's first closed form, 2k > |V|, is read off them, so the induced
+    subgraph is built only when that bound leaves the question open.
     """
     if malicious_count < 0:
         raise ValueError("malicious count must be non-negative")
@@ -441,19 +458,18 @@ def is_community(
     dmin = min(deg.item(u) - e for u, e in outside.items())  # induced degrees
     required = 2 * malicious_count + ext + 1
     s = malicious_count + 1
-    k = _least_non_full_size(dmin, ext)
-    analytic = 2 * k > len(nodes) or dmin == len(nodes) - 1
     witness = None
     robust: bool | None = True
-    if 2 * k <= len(nodes):
-        if not analytic and dmin < required and cap is not None and len(nodes) > cap:
-            robust = None  # the degree clause already fails; enumeration is not needed
-        else:  # in a complete graph every k-set is non-full, none reachable
-            sub = g.induced_subgraph(nodes).graph
-            found = (_violation(sub, range(k), range(k, 2 * k), ext, s, s) if analytic
-                     else is_rs_excess_robust(sub, ext, s, cap=cap))
+    analytic = 2 * _least_non_full_size(dmin, ext) > len(nodes)
+    if not analytic:
+        try:
+            found, analytic = _decide(g.induced_subgraph(nodes).graph, ext, s, cap, s)
             witness = None if found.robust else _translate_witness(found, nodes)
             robust = witness is None
+        except EnumerationCapExceeded:
+            if dmin >= required:
+                raise
+            robust = None  # the degree clause already fails
     reasons = []
     if witness is not None:
         reasons.append("robustness")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from commca import (
     ExplicitValues,
     Graph,
     InitializerSpec,
+    IsolationReport,
     NormalDraw,
     PerNeighborTable,
     RoundScript,
@@ -63,11 +65,20 @@ def count_external_degree_passes(monkeypatch):
     return passes
 
 
-def split_graph():
+def split_graph(bridge=4):
+    """A 5-clique on 0..4 and a 4-clique on 5..8, joined through `bridge`."""
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
-    edges += [(4, v) for v in range(5, 9)]
+    edges += [(bridge, v) for v in range(5, 9)]
     return Graph(9, edges)
+
+
+def blocks_24():
+    """Two K_12 blocks, each agent joined to all but two agents of the other
+    block: minimum degree 21 puts every non-full subset at 12 or more
+    agents, and the two blocks violate every (0, s) clause."""
+    return Graph(24, [(u, v) for u in range(24) for v in range(u + 1, 24)
+                      if (u < 12) == (v < 12) or (v - 12 - u) % 12 > 1])
 
 
 INTRUDER_DOC = """\
@@ -188,6 +199,34 @@ class TestCheckCommunities:
         rc = main(["check", gpath, "--communities", cpath, "--community", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("g, s, code", [
+        (split_graph(), 2, 1),
+        (split_graph(bridge=0), 2, 1),
+        (Graph(9, [(i, (i + 1) % 9) for i in range(9)]), 1, 0),
+        (complete_graph(9), 3, 0),
+        (complete_graph(30), 3, 0),
+        (blocks_24(), 3, 1),
+        (Graph(23, [(i, i + 1) for i in range(22)]), 1, 3),
+    ], ids=["split", "split-bridged-at-0", "cycle-9", "K9", "K30", "blocks-24", "path-23"])
+    def test_whole_graph_community_agrees_with_the_rs_check(self, tmp_path, capsys,
+                                                            monkeypatch, g, s, code):
+        # one community of every agent has external degree 0, so its
+        # robustness clause is (0, s)-excess robustness of the whole graph;
+        # each case passes the degree clause, so only that clause decides
+        monkeypatch.delenv("COMMCA_CAP", raising=False)
+        gpath = write_graph(tmp_path, g)
+        cpath = write_communities(tmp_path, CommunityLayout([range(g.n)]))
+        assert main(["check", gpath, "--rs", "0", str(s)]) == code
+        rs = capsys.readouterr()
+        assert main(["check", gpath, "--communities", cpath, "--community", str(s - 1)]) == code
+        community = capsys.readouterr()
+        if code == 3:
+            assert community == rs and "exceeds the cap of 22" in rs.err
+            return
+        head, _, witness = community.out.partition("\n")
+        assert head.endswith(" failed=robustness") is (code == 1)
+        assert witness == (rs.out if code == 1 else "")
+
     @pytest.mark.parametrize("example", sorted(EXAMPLES))
     def test_each_community_takes_one_external_degree_pass(self, tmp_path, capsys,
                                                           monkeypatch, example):
@@ -215,6 +254,23 @@ class TestCheckErrors:
 
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt"), "--rs", "0", "1"]) == 2
+
+    @pytest.mark.parametrize("graph, communities, message", [
+        ("", None, "missing 'n <count>' line"),
+        ("# no count\n\n# line\n", None, "missing 'n <count>' line"),
+        ("n 2\n0 1\n", "malicious: 1\n", "no community lines found"),
+    ], ids=["empty-graph", "comments-only-graph", "malicious-line-only"])
+    def test_malformed_file_exits_2_with_its_message(self, tmp_path, capsys, graph,
+                                                     communities, message):
+        gpath = tmp_path / "graph.txt"
+        gpath.write_text(graph)
+        argv = ["check", str(gpath), "--r", "0"]
+        if communities is not None:
+            cpath = tmp_path / "communities.txt"
+            cpath.write_text(communities)
+            argv = ["check", str(gpath), "--community", "0", "--communities", str(cpath)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("text", [b"n 3\n0 1\x0c\n2 2\n", b"n 3\r\n0 1\r\n2 2\r\n"],
                              ids=["form-feed", "crlf"])
@@ -306,7 +362,7 @@ class TestCheckErrors:
 
     def test_subset_table_beyond_address_space(self, tmp_path, capsys):
         path = write_graph(tmp_path, Graph(64, [(i, i + 1) for i in range(63)]))
-        assert main(["check", path, "--r", "1", "--force"]) == 3
+        assert main(["check", path, "--r", "0", "--force"]) == 3
         assert "18446744073709551616 subsets of 64 agents" in capsys.readouterr().err
 
     def test_default_cap_is_22_agents(self, tmp_path, capsys, monkeypatch):
@@ -413,6 +469,21 @@ class TestRun:
         assert main(["run", "--example", "2", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("malicious: constant 60.0", "malicious: 60",
+         "line 18: expected 'malicious: constant <v>'"),
+        ("community 1: explicit 2.0 2.0 2.0", "community 1:", "line 16: empty init entry"),
+        ("seed 0\n", "seed 0\nadversary\nscript 1 2\nscript 3\n",
+         "line 24: expected a single 'script <v...>' line"),
+    ], ids=["malicious-without-constant", "empty-init-entry", "second-script-line"])
+    def test_malformed_scenario_exits_2_with_its_message(self, tmp_path, capsys, old, new,
+                                                         message):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(INTRUDER_DOC.replace(old, new))
+        assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_stray_table_entry_exit_code(self, tmp_path, capsys):
         doc = tmp_path / "doc.txt"
@@ -679,6 +750,17 @@ class TestVerifyProp1:
                     assert printed.pop(i + 1) == (want.subsets_checked, mode, want.threshold)
             assert printed == {}
         assert certified == 19  # 4 in the examples, 15 in the embedded cases' layouts
+
+    def test_isolation_event_in_a_certified_community_exits_1(self, capsys, monkeypatch):
+        # example 1 certifies both communities; the run reports an event in the first
+        reports = [IsolationReport(0, 3, (7, 5, 61.5)), IsolationReport(1, 0, None)]
+        monkeypatch.setattr("commca.cli.run", lambda config: SimpleNamespace(isolation=reports))
+        assert main(["verify-prop1", "--example", "1", "--mode", "sampled", "--rounds", "60"]) == 1
+        assert capsys.readouterr() == (
+            "community 1: preservation ok over 10000 subsets (sampled, threshold 2)\n"
+            "community 2: preservation ok over 10000 subsets (sampled, threshold 2)\n"
+            "community 1: isolation violated 3 times, first at round 7 by agent 5 (median 61.5)\n"
+            "community 2: isolation ok over 60 rounds\n", "")
 
     def test_uncertified_isolation_is_informational(self, tmp_path, capsys):
         doc = tmp_path / "doc.txt"

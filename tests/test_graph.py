@@ -72,6 +72,10 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(-1, [])
 
+    def test_edges_must_be_pairs(self):
+        with pytest.raises(ValueError, match=r"^edges must be \(u, v\) pairs$"):
+            Graph(3, [(0, 1, 2)])
+
     def test_zero_node_graph(self):
         g = Graph(0, [])
         assert g.n == 0 and g.edges == frozenset()
@@ -247,6 +251,10 @@ class TestCommunityLayout:
     def test_empty_community_rejected(self):
         with pytest.raises(ValueError):
             CommunityLayout([{0, 1}, set()], set())
+
+    def test_at_least_one_community_required(self):
+        with pytest.raises(ValueError, match="^at least one community is required$"):
+            CommunityLayout([])
 
     def test_malicious_outside_membership_rejected(self):
         with pytest.raises(ValueError):

@@ -1014,6 +1014,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(cfg)
 
+    def test_initializer_of_the_wrong_shape_rejected(self):
+        class TwoColumns:
+            def initial_values(self, graph, layout, seed):
+                return np.zeros((graph.n, 2))
+
+        cfg = SimulationConfig(complete_graph(3), CommunityLayout([range(3)]), TwoColumns(),
+                               None, 0.5, 3, 0)
+        with pytest.raises(ConfigError) as info:
+            run(cfg)
+        assert info.value.problems == ["initializer produced shape (3, 2), expected (3,)"]
+
     def test_table_entry_of_legitimate_agent_rejected(self):
         g = complete_graph(3)
         layout = CommunityLayout([range(3)], malicious={2})

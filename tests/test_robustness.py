@@ -1,9 +1,10 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from commca import (
@@ -27,6 +28,8 @@ from commca import (
 )
 from commca.robustness import (
     _BLOCK,
+    _decide,
+    _mask_ids,
     _subset_minimum,
     _subset_table,
     _translate_witness,
@@ -67,11 +70,13 @@ def complete_minus_matching(n):
                      if u // 2 != v // 2])
 
 
-def split_community_graph():
-    """Nine agents: a 5-clique and a 4-clique joined through agent 4 only."""
+def split_community_graph(bridge=4):
+    """Nine agents: a 5-clique and a 4-clique joined through agent `bridge`
+    only.  With bridge=0 the pair ({0..3}, {4..7}) meets every (0, s)
+    clause, since 4..7 all reach, so no closed form decides the graph."""
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
-    edges += [(4, v) for v in range(5, 9)]
+    edges += [(bridge, v) for v in range(5, 9)]
     return Graph(9, edges)
 
 
@@ -233,6 +238,34 @@ class TestWitnessOrder:
             assert _violating_pair(masks, r, s) == want, (masks, r, s)
             verdicts[want is None] += 1
         assert min(verdicts.values()) >= 10
+
+
+class TestClosedForms:
+    @settings(deadline=None, max_examples=500)
+    @given(graphs(12), st.integers(0, 4), st.integers(1, 4))
+    def test_settled_without_the_engine_as_the_engine_settles(self, g, r, s):
+        # whenever a closed form answers, the engine gives the same verdict
+        # and the same witness pair
+        with mock.patch("commca.robustness._violating_pair", wraps=_violating_pair) as engine:
+            w, analytic = _decide(g, r, s, None, s)
+        assert engine.called is not analytic
+        if not analytic:
+            return
+        event("settled by a closed form")
+        pair = _violating_pair(g.neighbor_masks(), r, s)
+        assert w.robust is (pair is None)
+        if pair is not None:
+            assert w.pair == tuple(_mask_ids(m) for m in pair)
+            assert not evaluate_pair(g, *w.pair, r, s).satisfied
+
+    def test_past_the_cap_a_closed_form_still_answers(self):
+        # K_30: 2k = 32 > 30 at r = 0; at r = 2, k = 15 and the halves violate
+        g = complete_graph(30)
+        assert is_rs_excess_robust(g, 0, 3).robust
+        w = is_rs_excess_robust(g, 2, 3)
+        assert w.pair == (frozenset(range(15)), frozenset(range(15, 30)))
+        with pytest.raises(EnumerationCapExceeded):
+            is_r_excess_robust(path_graph(23), 0)
 
 
 class TestPairRobustness:
@@ -588,7 +621,8 @@ class TestCommunityPredicate:
         assert check.reasons == want_reasons
         assert check.witness == want_witness
         k = max(1, (sub.min_degree() - ext) // 2 + 2)
-        assert check.certified_analytically == (2 * k > sub.n or sub.is_complete())
+        assert check.certified_analytically == (2 * k > sub.n or not evaluate_pair(
+            sub, range(k), range(k, 2 * k), ext, f + 1).satisfied)
 
     def test_singleton_member_set(self):
         g = add_cross_edges(disjoint_union(complete_graph(4), Graph(1)), [(0, 4)])
@@ -601,13 +635,21 @@ class TestCommunityPredicate:
             is_community(complete_graph(3), range(3), -1)
 
     def test_cap_applies_to_incomplete_induced_graphs(self):
-        g = split_community_graph()
+        g = split_community_graph(bridge=0)
         with pytest.raises(EnumerationCapExceeded):
             is_community(g, range(9), malicious_count=1, cap=5)
+        # with agent 4 as the bridge the candidate pair violates: no cap applies
+        check = is_community(split_community_graph(), range(9), malicious_count=1, cap=5)
+        assert check.reasons == ("robustness",) and check.certified_analytically
+        assert check.witness == RobustnessWitness(False, 0, 2, (
+            ReachabilityReport(frozenset(range(4)), 0, frozenset(), dict.fromkeys(range(4), -2)),
+            ReachabilityReport(frozenset(range(4, 8)), 0, frozenset({4}),
+                               {4: 2, 5: -2, 6: -2, 7: -2}),
+        ))
 
     def test_degree_failure_past_the_cap_leaves_robustness_undecided(self):
         # min-degree 4 against 2 * 2 + 0 + 1 = 5: no enumeration is needed
-        g = split_community_graph()
+        g = split_community_graph(bridge=0)
         check = is_community(g, range(9), malicious_count=2, cap=5)
         assert check.robust is None and check.witness is None
         assert check.reasons == ("degree",) and not check.certified_analytically
